@@ -4,9 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/workload"
 )
 
 // normalizeManifest zeroes the wall-time identity fields — the only
@@ -163,26 +165,26 @@ func TestPrepareTraceInjection(t *testing.T) {
 	}
 }
 
-// TestKernels: the catalogue matches the two name lists, carries the
-// Extra tag, and repeated calls do not share backing storage.
+// TestKernels: the catalogue's metadata matches the kernel each entry
+// builds, its standard entries are Workloads(), and repeated calls do not
+// share backing storage.
 func TestKernels(t *testing.T) {
 	ks := Kernels()
-	var std, extra int
+	var std []string
 	for _, k := range ks {
-		if k.Name == "" || k.Kind == "" || k.Emulate == "" {
-			t.Errorf("kernel %+v has empty metadata", k)
+		w, err := workload.ByName(k.Name, workload.Params{Footprint: 1 << 12})
+		if err != nil {
+			t.Fatalf("%s: %v", k.Name, err)
 		}
-		if k.Extra {
-			extra++
-		} else {
-			std++
+		if k.Kind == "" || k.Emulate == "" || k.Kind != w.Kind || k.Emulate != w.Emulate {
+			t.Errorf("kernel %+v: metadata differs from the built kernel's {%q %q}", k, w.Kind, w.Emulate)
+		}
+		if !k.Extra {
+			std = append(std, k.Name)
 		}
 	}
-	if wls := Workloads(); len(wls) != std {
-		t.Errorf("Workloads() has %d names, catalogue has %d standard kernels", len(wls), std)
-	}
-	if ex := ExtraWorkloads(); len(ex) != extra {
-		t.Errorf("ExtraWorkloads() has %d names, catalogue has %d extras", len(ex), extra)
+	if wls := Workloads(); !slices.Equal(wls, std) {
+		t.Errorf("Workloads() = %v, catalogue's standard kernels are %v", wls, std)
 	}
 	ks[0].Name = "mutated"
 	if Kernels()[0].Name == "mutated" {

@@ -78,10 +78,8 @@ func run() int {
 			fmt.Printf("  %s\n", a)
 		}
 		fmt.Println("workloads:")
-		for _, k := range ballerino.Kernels() {
-			if !k.Extra {
-				fmt.Printf("  %s\n", k.Name)
-			}
+		for _, w := range ballerino.Workloads() {
+			fmt.Printf("  %s\n", w)
 		}
 		fmt.Println("extra workloads:")
 		for _, k := range ballerino.Kernels() {
@@ -276,12 +274,7 @@ func run() int {
 
 func runCompare(ctx context.Context, width, ops int, foot int64, par int, jsonOut, topdown bool) int {
 	archs := ballerino.Architectures()
-	var wls []string
-	for _, k := range ballerino.Kernels() {
-		if !k.Extra {
-			wls = append(wls, k.Name)
-		}
-	}
+	wls := ballerino.Workloads()
 
 	// One campaign over the whole grid: each kernel's trace is generated
 	// once and shared by every architecture. Results arrive in grid order

@@ -33,7 +33,7 @@ func run() int {
 	var (
 		archs  = flag.String("archs", strings.Join(ballerino.Architectures(), ","), "architectures")
 		widths = flag.String("widths", "8", "issue widths")
-		wls    = flag.String("workloads", strings.Join(standardKernels(), ","), "workload kernels")
+		wls    = flag.String("workloads", strings.Join(ballerino.Workloads(), ","), "workload kernels")
 		ops    = flag.Int("ops", 100_000, "μops per simulation")
 		warm   = flag.Int("warmup", 0, "warm-up μops before measurement")
 		par    = flag.Int("parallel", runtime.GOMAXPROCS(0), "simulations in flight at once (1 = sequential)")
@@ -191,15 +191,4 @@ func run() int {
 		w.Write(row)
 	}
 	return 0
-}
-
-// standardKernels lists the non-extra kernel names from the catalogue.
-func standardKernels() []string {
-	var names []string
-	for _, k := range ballerino.Kernels() {
-		if !k.Extra {
-			names = append(names, k.Name)
-		}
-	}
-	return names
 }

@@ -3,7 +3,6 @@ package ballerino_test
 import (
 	"fmt"
 	"log"
-	"sort"
 
 	ballerino "repro"
 )
@@ -39,20 +38,14 @@ func ExampleRun_comparison() {
 	// Ballerino beats CASINO on gather-heavy code: true
 }
 
-// ExampleKernels lists the kernel suite from the catalogue.
+// ExampleKernels lists the first kernels of the catalogue with their
+// behaviour class.
 func ExampleKernels() {
-	var ws []string
-	for _, k := range ballerino.Kernels() {
-		if !k.Extra {
-			ws = append(ws, k.Name)
-		}
-	}
-	sort.Strings(ws)
-	for _, w := range ws[:3] {
-		fmt.Println(w)
+	for _, k := range ballerino.Kernels()[:3] {
+		fmt.Println(k.Name, k.Kind)
 	}
 	// Output:
-	// branchy
-	// compute
-	// hash-join
+	// branchy branchy
+	// compute compute-bound
+	// hash-join memory-bound
 }

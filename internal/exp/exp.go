@@ -37,11 +37,7 @@ func (o Options) withDefaults() Options {
 		o.Ops = 150_000
 	}
 	if len(o.Workloads) == 0 {
-		for _, k := range ballerino.Kernels() {
-			if !k.Extra {
-				o.Workloads = append(o.Workloads, k.Name)
-			}
-		}
+		o.Workloads = ballerino.Workloads()
 	}
 	return o
 }

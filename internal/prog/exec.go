@@ -149,42 +149,26 @@ func ExecuteContext(ctx context.Context, p *Program, maxOps int) (*Trace, error)
 		if in.Halt {
 			return tr, nil
 		}
-		d := isa.DynInst{
-			Seq:  uint64(len(tr.Ops)),
-			PC:   pc,
-			Op:   in.Op,
-			Fn:   in.Fn,
-			Cond: in.Cond,
-			Dst:  in.Dst,
-			Imm:  in.Imm,
-			Size: 8,
-		}
-		next := pc + 1
+		seq := uint64(len(tr.Ops))
+		var addr uint64
+		var taken bool
 		switch in.Op {
-		case isa.OpNop:
-			d.Src1, d.Src2 = isa.RegNone, isa.RegNone
+		case isa.OpNop: // no architectural effect
 		case isa.OpLoad:
-			d.Src1, d.Src2 = in.Base, isa.RegNone
-			d.Addr = uint64(st.Regs[in.Base]+in.Imm) &^ 7
-			v := st.LoadWord(d.Addr)
+			addr = uint64(st.Regs[in.Base]+in.Imm) &^ 7
+			v := st.LoadWord(addr)
 			st.Regs[in.Dst] = v
-			tr.LoadValues[d.Seq] = v
+			tr.LoadValues[seq] = v
 		case isa.OpStore:
-			d.Src1, d.Src2 = in.Base, in.Src1 // base, data
-			d.Addr = uint64(st.Regs[in.Base]+in.Imm) &^ 7
-			st.StoreWord(d.Addr, st.Regs[in.Src1])
+			addr = uint64(st.Regs[in.Base]+in.Imm) &^ 7
+			st.StoreWord(addr, st.Regs[in.Src1])
 		case isa.OpBranch:
-			d.Src1, d.Src2 = in.Src1, isa.RegNone
 			var v int64
 			if in.Src1.Valid() {
 				v = st.Regs[in.Src1]
 			}
-			d.Taken = in.Cond.Eval(v)
-			if d.Taken {
-				next = in.Target
-			}
+			taken = in.Cond.Eval(v)
 		default: // ALU classes
-			d.Src1, d.Src2 = in.Src1, in.Src2
 			var a, bv int64
 			if in.Src1.Valid() {
 				a = st.Regs[in.Src1]
@@ -194,11 +178,50 @@ func ExecuteContext(ctx context.Context, p *Program, maxOps int) (*Trace, error)
 			}
 			st.Regs[in.Dst] = evalALU(in.Fn, a, bv, in.Imm)
 		}
-		d.Next = next
+		d := NewDynInst(in, seq, pc, addr, taken)
 		tr.Ops = append(tr.Ops, d)
-		pc = next
+		pc = d.Next
 	}
 	return tr, ErrFuel
+}
+
+// NewDynInst builds the dynamic instance of static instruction in at pc
+// from its dynamic facts: its sequence number, its effective address (a
+// memory op's; ignored otherwise) and its outcome (a branch's; ignored
+// otherwise). Operand wiring by op class, Size and Next follow from the
+// static instruction. The interpreter and the trace-file reader both
+// build every μop through it.
+func NewDynInst(in *isa.Inst, seq uint64, pc int, addr uint64, taken bool) isa.DynInst {
+	d := isa.DynInst{
+		Seq:  seq,
+		PC:   pc,
+		Op:   in.Op,
+		Fn:   in.Fn,
+		Cond: in.Cond,
+		Dst:  in.Dst,
+		Imm:  in.Imm,
+		Size: 8,
+		Next: pc + 1,
+	}
+	switch in.Op {
+	case isa.OpNop:
+		d.Src1, d.Src2 = isa.RegNone, isa.RegNone
+	case isa.OpLoad:
+		d.Src1, d.Src2 = in.Base, isa.RegNone
+		d.Addr = addr
+	case isa.OpStore:
+		d.Src1, d.Src2 = in.Base, in.Src1 // base, data
+		d.Addr = addr
+	case isa.OpBranch:
+		d.Src1, d.Src2 = in.Src1, isa.RegNone
+		d.Taken = taken
+		if taken {
+			d.Next = in.Target
+		}
+	default: // ALU classes
+		d.Src1, d.Src2 = in.Src1, in.Src2
+	}
+	return d
 }
 
 // MustExecute is Execute but tolerates fuel exhaustion: kernels are

@@ -437,9 +437,9 @@ func decodeMemImage(p *payload, m map[uint64]int64) error {
 
 // decodeOps reconstructs one ops chunk. Each op stores only its dynamic
 // facts (PC; address delta for memory ops; outcome for branches); the
-// rest of the DynInst is rebuilt from the static instruction exactly as
-// prog.ExecuteContext builds it, so a round-tripped stream is
-// field-identical to the in-memory original.
+// rest of the DynInst is rebuilt by prog.NewDynInst, the constructor the
+// interpreter uses, so a round-tripped stream is field-identical to the
+// in-memory original.
 func decodeOps(p *payload, tr *prog.Trace, prevAddr *uint64) error {
 	count, err := p.uvarint()
 	if err != nil {
@@ -461,33 +461,17 @@ func decodeOps(p *payload, tr *prog.Trace, prevAddr *uint64) error {
 		if in.Halt {
 			return p.errAt(fmt.Errorf("op references halt pseudo-instruction at pc %d", pcU))
 		}
-		pc := int(pcU)
-		d := isa.DynInst{
-			Seq:  uint64(len(tr.Ops)),
-			PC:   pc,
-			Op:   in.Op,
-			Fn:   in.Fn,
-			Cond: in.Cond,
-			Dst:  in.Dst,
-			Imm:  in.Imm,
-			Size: 8,
-		}
-		next := pc + 1
+		var addr uint64
+		var taken bool
 		switch {
 		case in.Op.IsMem():
-			if in.Op == isa.OpLoad {
-				d.Src1, d.Src2 = in.Base, isa.RegNone
-			} else {
-				d.Src1, d.Src2 = in.Base, in.Src1 // base, data
-			}
 			delta, err := p.varint()
 			if err != nil {
 				return err
 			}
-			d.Addr = *prevAddr + uint64(delta)
-			*prevAddr = d.Addr
+			addr = *prevAddr + uint64(delta)
+			*prevAddr = addr
 		case in.Op == isa.OpBranch:
-			d.Src1, d.Src2 = in.Src1, isa.RegNone
 			t, err := p.byte()
 			if err != nil {
 				return err
@@ -495,17 +479,9 @@ func decodeOps(p *payload, tr *prog.Trace, prevAddr *uint64) error {
 			if t > 1 {
 				return p.errAt(fmt.Errorf("branch outcome byte %d is not 0/1", t))
 			}
-			d.Taken = t == 1
-			if d.Taken {
-				next = in.Target
-			}
-		case in.Op == isa.OpNop:
-			d.Src1, d.Src2 = isa.RegNone, isa.RegNone
-		default: // ALU classes
-			d.Src1, d.Src2 = in.Src1, in.Src2
+			taken = t == 1
 		}
-		d.Next = next
-		tr.Ops = append(tr.Ops, d)
+		tr.Ops = append(tr.Ops, prog.NewDynInst(in, uint64(len(tr.Ops)), int(pcU), addr, taken))
 	}
 	return nil
 }

@@ -35,6 +35,12 @@ import (
 // IPC = N/T, which PredictIPC computes and TestCalibratedIPC holds the
 // OoO scheduler to.
 
+// The catalogue metadata every calibrated kernel carries.
+const (
+	calibKind    = "calibrated"
+	calibEmulate = "queuing-model operating point (Carroll–Lin closed form)"
+)
+
 // CalibChain is one loop-carried serial dependence chain of a calibrated
 // kernel: Len μops of class Op per loop iteration, each dependent on the
 // previous.
@@ -160,12 +166,7 @@ func Calibrated(name string, chains []CalibChain, p Params) Workload {
 	b.AddImm(cnt, cnt, -1)
 	b.Branch(isa.BrNEZ, cnt, top)
 
-	return Workload{
-		Name:    name,
-		Kind:    "calibrated",
-		Emulate: "queuing-model operating point (Carroll–Lin closed form)",
-		Program: b.Build(),
-	}
+	return Workload{Name: name, Kind: calibKind, Emulate: calibEmulate, Program: b.Build()}
 }
 
 // OccupancyChains derives the chain count that drives one op class's
@@ -277,13 +278,4 @@ var CalibPresets = map[string][]CalibChain{
 		{Op: isa.OpIntDiv, Len: 1},
 		{Op: isa.OpIntALU, Len: 4},
 	},
-}
-
-// CalibratedByName builds one of CalibPresets.
-func CalibratedByName(name string, p Params) (Workload, error) {
-	chains, ok := CalibPresets[name]
-	if !ok {
-		return Workload{}, fmt.Errorf("workload: unknown calibrated preset %q", name)
-	}
-	return Calibrated(name, chains, p), nil
 }

@@ -13,15 +13,12 @@ import (
 // under the functional interpreter without halting early.
 func TestCalibratedPresetsBuild(t *testing.T) {
 	for name, chains := range CalibPresets {
-		w, err := CalibratedByName(name, Params{})
+		w, err := ByName(name, Params{})
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: not reachable via ByName: %v", name, err)
 		}
 		if w.Name != name || w.Kind != "calibrated" || w.Program == nil {
 			t.Errorf("%s: malformed workload %+v", name, w)
-		}
-		if _, err := ByName(name, Params{}); err != nil {
-			t.Errorf("%s: not reachable via ByName: %v", name, err)
 		}
 		tr := prog.MustExecute(w.Program, 5_000)
 		if len(tr.Ops) != 5_000 {
@@ -31,7 +28,7 @@ func TestCalibratedPresetsBuild(t *testing.T) {
 			t.Errorf("%s: prediction rejected the preset: %v", name, err)
 		}
 	}
-	if _, err := CalibratedByName("calib-nope", Params{}); err == nil {
+	if _, err := ByName("calib-nope", Params{}); err == nil {
 		t.Error("unknown preset name accepted")
 	}
 }

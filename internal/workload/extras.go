@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"sort"
-
 	"repro/internal/isa"
 	"repro/internal/prog"
 )
@@ -12,25 +10,8 @@ import (
 // EXPERIMENTS.md is recorded against the standard suite, and these exist
 // for exploration and for exercising behaviours the suite does not
 // emphasise (data-dependent tree descent, shifting strides, butterfly
-// permutations).
-func Extras(p Params) []Workload {
-	ws := []Workload{
-		BSTSearch(p),
-		ShellSortPass(p),
-		Butterfly(p),
-	}
-	// The calibrated operating points (calibrated.go): queuing-model-
-	// derived kernels whose steady-state IPC has a closed-form prediction.
-	names := make([]string, 0, len(CalibPresets))
-	for name := range CalibPresets {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		ws = append(ws, Calibrated(name, CalibPresets[name], p))
-	}
-	return ws
-}
+// permutations), plus the calibrated operating points of calibrated.go.
+func Extras(p Params) []Workload { return build(p, true) }
 
 // BSTSearch emulates search-tree descent (mcf's spanning-tree walks,
 // database index probes): a chain of dependent loads whose direction is a

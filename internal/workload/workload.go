@@ -21,7 +21,7 @@ import (
 // behaviour it emulates.
 type Workload struct {
 	Name    string
-	Kind    string // "memory-bound", "compute-bound", "branchy", "mixed"
+	Kind    string // "memory-bound", "compute-bound", "branchy", "mixed", "calibrated"
 	Emulate string // which SPEC application's behaviour this stands in for
 	Program *prog.Program
 }
@@ -667,37 +667,92 @@ func Mixed(p Params) Workload {
 	}
 }
 
+// Kernel is one entry of the kernel catalogue: a kernel's name and
+// metadata beside the constructor that builds it. The metadata equals
+// what New returns, so listing the catalogue builds no program.
+type Kernel struct {
+	Name    string
+	Kind    string
+	Emulate string
+	Extra   bool // runnable by name but outside the standard suite (see Extras)
+	New     func(Params) Workload
+}
+
+// Catalogue is the one list of kernels: the standard suite sorted by
+// name, then the extras, ending with the calibrated presets in name
+// order. All, Extras and ByName read it.
+var Catalogue = append([]Kernel{
+	{Name: "branchy", Kind: "branchy", Emulate: "leela/gcc-like data-dependent control flow", New: Branchy},
+	{Name: "compute", Kind: "compute-bound", Emulate: "namd/povray-like dense FP chains", New: Compute},
+	{Name: "hash-join", Kind: "memory-bound", Emulate: "xalancbmk/gobmk-like random hash probes", New: HashJoin},
+	{Name: "mixed", Kind: "mixed", Emulate: "gcc/perlbench-like phase alternation", New: Mixed},
+	{Name: "pointer-chase", Kind: "memory-bound", Emulate: "mcf/omnetpp-like serial pointer chasing", New: PointerChase},
+	{Name: "reduction", Kind: "compute-bound", Emulate: "deepsjeng-like parallel reductions with merges", New: Reduction},
+	{Name: "sparse-trees", Kind: "memory-bound", Emulate: "omnetpp/gcc-like independent gathers with short consumer trees", New: SparseTrees},
+	{Name: "stencil", Kind: "memory-bound", Emulate: "cactuBSSN/bwaves-like stencil sweeps", New: Stencil},
+	{Name: "store-load", Kind: "mixed", Emulate: "exchange2/perlbench-like store→load communication", New: StoreLoad},
+	{Name: "stream", Kind: "memory-bound", Emulate: "lbm/libquantum-like streaming sweeps", New: Stream},
+	{Name: "bst-search", Kind: "memory-bound", Emulate: "index-probe/tree-descent with data-dependent branching", Extra: true, New: BSTSearch},
+	{Name: "shellsort-pass", Kind: "mixed", Emulate: "exchange2-like compare-and-swap sweeps", Extra: true, New: ShellSortPass},
+	{Name: "butterfly", Kind: "compute-bound", Emulate: "FFT-like strided butterflies with FP MAC cores", Extra: true, New: Butterfly},
+}, calibratedKernels()...)
+
+// calibratedKernels catalogues CalibPresets in name order.
+func calibratedKernels() []Kernel {
+	names := make([]string, 0, len(CalibPresets))
+	for name := range CalibPresets {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	ks := make([]Kernel, len(names))
+	for i, name := range names {
+		chains := CalibPresets[name]
+		ks[i] = Kernel{Name: name, Kind: calibKind, Emulate: calibEmulate, Extra: true,
+			New: func(p Params) Workload { return Calibrated(name, chains, p) }}
+	}
+	return ks
+}
+
 // All returns every standard kernel with the given parameters, sorted by
 // name. This is the suite every figure-level experiment averages over.
-func All(p Params) []Workload {
-	ws := []Workload{
-		PointerChase(p),
-		Stream(p),
-		Compute(p),
-		Branchy(p),
-		HashJoin(p),
-		Stencil(p),
-		Reduction(p),
-		StoreLoad(p),
-		SparseTrees(p),
-		Mixed(p),
+func All(p Params) []Workload { return build(p, false) }
+
+// build constructs the catalogue kernels whose Extra flag is extra.
+func build(p Params, extra bool) []Workload {
+	var ws []Workload
+	for _, k := range Catalogue {
+		if k.Extra == extra {
+			ws = append(ws, k.New(p))
+		}
 	}
-	sort.Slice(ws, func(i, j int) bool { return ws[i].Name < ws[j].Name })
 	return ws
 }
 
-// ByName returns the named kernel — from the standard suite or the extras
-// (see Extras) — or an error listing the valid names.
-func ByName(name string, p Params) (Workload, error) {
-	all := append(All(p), Extras(p)...)
-	for _, w := range all {
-		if w.Name == name {
-			return w, nil
+// Lookup returns the catalogue entry named name.
+func Lookup(name string) (Kernel, bool) {
+	for _, k := range Catalogue {
+		if k.Name == name {
+			return k, true
 		}
 	}
-	var names []string
-	for _, w := range all {
-		names = append(names, w.Name)
+	return Kernel{}, false
+}
+
+// Names lists every catalogue name in catalogue order.
+func Names() []string {
+	names := make([]string, len(Catalogue))
+	for i, k := range Catalogue {
+		names[i] = k.Name
 	}
-	return Workload{}, fmt.Errorf("workload: unknown kernel %q (valid: %v)", name, names)
+	return names
+}
+
+// ByName builds the named kernel — from the standard suite or the extras
+// (see Extras) — or returns an error listing the valid names.
+func ByName(name string, p Params) (Workload, error) {
+	k, ok := Lookup(name)
+	if !ok {
+		return Workload{}, fmt.Errorf("workload: unknown kernel %q (valid: %v)", name, Names())
+	}
+	return k.New(p), nil
 }

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/isa"
@@ -63,13 +65,41 @@ func TestAllReturnsSortedUniqueNames(t *testing.T) {
 	}
 }
 
+// TestByName: every catalogue name builds exactly what its own entry's
+// constructor builds, at two footprints, and carries the entry's
+// metadata; an unknown name is an error.
 func TestByName(t *testing.T) {
-	w, err := ByName("stream", Params{})
-	if err != nil || w.Name != "stream" {
-		t.Fatalf("ByName(stream) = %v, %v", w.Name, err)
+	for _, k := range Catalogue {
+		for _, p := range []Params{{Footprint: 1 << 16}, {Footprint: 1 << 20}} {
+			w, err := ByName(k.Name, p)
+			if err != nil {
+				t.Fatalf("ByName(%q): %v", k.Name, err)
+			}
+			if want := k.New(p); !reflect.DeepEqual(w, want) {
+				t.Errorf("ByName(%q, %+v) differs from the entry's constructor", k.Name, p)
+			}
+			if w.Name != k.Name || w.Kind != k.Kind || w.Emulate != k.Emulate {
+				t.Errorf("%q: built metadata {%q %q %q} differs from the catalogue entry {%q %q %q}",
+					k.Name, w.Name, w.Kind, w.Emulate, k.Name, k.Kind, k.Emulate)
+			}
+		}
 	}
 	if _, err := ByName("nope", Params{}); err == nil {
 		t.Fatal("ByName(nope) succeeded")
+	}
+}
+
+// TestByNameBuildsOnlyOne: ByName builds the one kernel asked for, so a
+// small kernel costs a small allocation even at a large footprint.
+func TestByNameBuildsOnlyOne(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := ByName("compute", Params{Footprint: 8 << 20}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Errorf("ByName(compute, 8 MiB) allocated %d bytes, want under 1 MiB", d)
 	}
 }
 

@@ -81,11 +81,8 @@ func TestAuditFullMatrix(t *testing.T) {
 		t.Skip("set BALLERINO_AUDIT_FULL=1 to run the full audited matrix")
 	}
 	for _, arch := range Architectures() {
-		for _, k := range Kernels() {
-			if k.Extra {
-				continue
-			}
-			arch, wl := arch, k.Name
+		for _, wl := range Workloads() {
+			arch, wl := arch, wl
 			t.Run(arch+"/"+wl, func(t *testing.T) {
 				t.Parallel()
 				res, err := Run(Config{Arch: arch, Workload: wl, MaxOps: 50_000, Audit: true})

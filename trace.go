@@ -116,7 +116,16 @@ func traceKey(cfg Config) string {
 	if cfg.Custom != nil {
 		return fmt.Sprintf("custom:%s@%p|ops:%d", cfg.Custom.Name(), cfg.Custom.Internal(), ops)
 	}
-	return fmt.Sprintf("wl:%s|fp:%d|ops:%d", cfg.Workload, fp, ops)
+	return namedTraceKey(cfg.Workload, fp, ops)
+}
+
+// namedTraceKey is the content key of a named workload's trace, and the
+// key a trace file carries. Custom-program traces are exported under
+// their program name too — pointer identity does not survive a process,
+// so on re-import they behave like a named workload whose program
+// travels with the file.
+func namedTraceKey(wl string, fp int64, ops int) string {
+	return fmt.Sprintf("wl:%s|fp:%d|ops:%d", wl, fp, ops)
 }
 
 // resolveProgram returns the μop program a (defaulted) config simulates.

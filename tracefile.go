@@ -25,7 +25,7 @@ func WriteTrace(w io.Writer, t *Trace) error {
 		Workload:       t.wl,
 		FootprintBytes: t.fp,
 		Ops:            t.ops,
-		TraceKey:       fileTraceKey(t.wl, t.fp, t.ops),
+		TraceKey:       namedTraceKey(t.wl, t.fp, t.ops),
 		Generator:      "ballerino",
 	}
 	if err := tracefile.Encode(w, h, t.tr); err != nil {
@@ -48,15 +48,6 @@ func ExportTrace(path string, t *Trace) error {
 		return &SimError{Stage: "tracefile", Workload: t.wl, Err: err}
 	}
 	return nil
-}
-
-// fileTraceKey is the content key a trace file carries: the same string
-// traceKey derives for a named kernel. Custom-program traces are exported
-// under their program name too — pointer identity does not survive a
-// process, so on re-import they behave like a named workload whose
-// program travels with the file.
-func fileTraceKey(wl string, fp int64, ops int) string {
-	return fmt.Sprintf("wl:%s|fp:%d|ops:%d", wl, fp, ops)
 }
 
 // ReadTrace decodes one ballerino.trace/v1 stream into an immutable Trace
@@ -83,7 +74,7 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	if len(d.Trace.Ops) > h.Ops {
 		return nil, fail("stream has %d ops, more than the header budget %d", len(d.Trace.Ops), h.Ops)
 	}
-	if want := fileTraceKey(h.Workload, h.FootprintBytes, h.Ops); h.TraceKey != want {
+	if want := namedTraceKey(h.Workload, h.FootprintBytes, h.Ops); h.TraceKey != want {
 		return nil, fail("header trace key %q does not match its identity fields (%q)", h.TraceKey, want)
 	}
 	return &Trace{
