@@ -41,20 +41,20 @@ func batchConfigs() []Config {
 
 // TestRunAllDeterministicManifests is the batch API's core guarantee: a
 // campaign at parallelism 4 (with trace sharing) produces byte-identical
-// manifests to the same campaign at parallelism 1 with the cache off,
-// modulo wall-time fields.
+// manifests to the same configs run one at a time through RunContext,
+// each generating its own trace, modulo wall-time fields.
 func TestRunAllDeterministicManifests(t *testing.T) {
 	cfgs := batchConfigs()
-	seq := RunAll(context.Background(), cfgs, BatchOptions{Parallelism: 1, DisableTraceCache: true})
 	par := RunAll(context.Background(), cfgs, BatchOptions{Parallelism: 4})
-	if err := seq.FirstErr(); err != nil {
-		t.Fatalf("sequential campaign: %v", err)
-	}
 	if err := par.FirstErr(); err != nil {
 		t.Fatalf("parallel campaign: %v", err)
 	}
-	for i := range cfgs {
-		sb := normalizeManifest(t, seq.Results[i].Result.Manifest)
+	for i, cfg := range cfgs {
+		seq, err := RunContext(context.Background(), cfg)
+		if err != nil {
+			t.Fatalf("sequential run %d: %v", i, err)
+		}
+		sb := normalizeManifest(t, seq.Manifest)
 		pb := normalizeManifest(t, par.Results[i].Result.Manifest)
 		if string(sb) != string(pb) {
 			t.Errorf("slot %d (%s/%s): parallel manifest differs from sequential:\nseq: %s\npar: %s",

@@ -84,18 +84,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		storeDir   = fs.String("store-dir", "", "durable job-store directory (empty = in-memory only, no crash safety)")
 		jobTimeout = fs.Duration("job-timeout", 0, "per-job execution deadline; a timed-out attempt fails with stage \"timeout\" (0 = none)")
 		maxRetries = fs.Int("max-retries", 0, "retries per job with capped exponential backoff before it parks in the dead-letter tier")
-		chaos      = fs.String("chaos", "", "seeded service-layer chaos, e.g. \"seed=7,fail=0.25\" (testing only)")
 		logFormat  = fs.String("log-format", "text", "structured log format on stderr: text or json")
 		maxTraces  = fs.Int("max-traces", 0, "lifecycle span trees retained for /jobs/{id}/spans (0 = 1024, negative = tracing off)")
 	)
-	fs.Int("queue", 0, "deprecated alias for -max-queue")
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-	if *maxQueue == 0 {
-		if q := fs.Lookup("queue").Value.(flag.Getter).Get().(int); q != 0 {
-			*maxQueue = q
-		}
 	}
 
 	var handler slog.Handler
@@ -147,7 +140,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Store:           store,
 		JobTimeout:      *jobTimeout,
 		MaxRetries:      *maxRetries,
-		ChaosSpec:       *chaos,
 		Tracer:          tracer,
 		Logger:          logger,
 	})

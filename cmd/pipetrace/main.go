@@ -7,9 +7,10 @@
 // Legend: D decoded, q waiting dispatch, s in scheduler, r ready, X issue,
 // e executing, C complete.
 //
-// The window is assembled from the internal/obs event bus (an in-memory
-// sink over decode/dispatch/issue/exec/commit events), so the rendering
-// consumes exactly what external trace files contain.
+// The run goes through the public ballerino.Run API with a caller-owned
+// recorder over an in-memory sink; the window is assembled from its
+// decode/dispatch/issue/exec/commit events by obs.Assemble, the same
+// μop-lifetime reconstruction the Chrome trace sink uses.
 package main
 
 import (
@@ -18,12 +19,9 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/config"
+	ballerino "repro"
 	"repro/internal/obs"
-	"repro/internal/pipeline"
-	"repro/internal/prog"
 	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 func main() {
@@ -42,28 +40,17 @@ func main() {
 		budget = int(*from+*n) + 1000
 	}
 
-	m, err := config.NewMachine(config.Arch(*arch), 8, config.Options{
-		MaxCycles: uint64(budget) * 200,
-	})
-	if err != nil {
-		fail(err)
-	}
-	w, err := workload.ByName(*wl, workload.Params{})
-	if err != nil {
-		fail(err)
-	}
-	tr := prog.MustExecute(w.Program, budget)
-	p, err := pipeline.New(m.Pipeline, tr.Ops, m.Factory)
-	if err != nil {
-		fail(err)
-	}
-
 	mem := &obs.MemorySink{}
-	p.AttachObs(obs.NewRecorder(0, mem))
-	if _, err := p.Run(uint64(len(tr.Ops))); err != nil {
+	if _, err := ballerino.Run(ballerino.Config{
+		Arch:      *arch,
+		Workload:  *wl,
+		MaxOps:    budget,
+		MaxCycles: uint64(budget) * 200,
+		Recorder:  obs.NewRecorder(0, mem),
+	}); err != nil {
 		fail(err)
 	}
-	window := trace.Assemble(mem.Events, *from, *from+*n)
+	window := obs.Assemble(mem.Events, *from, *from+*n)
 	if len(window) == 0 {
 		fail(fmt.Errorf("no μops in [%d, %d) — trace too short?", *from, *from+*n))
 	}
@@ -106,7 +93,7 @@ func main() {
 }
 
 // lane renders one μop's post-dispatch lifetime as a character row.
-func lane(u trace.UOp, base uint64) string {
+func lane(u obs.Lifetime, base uint64) string {
 	rel := func(c uint64) int {
 		if c < base {
 			return 0

@@ -135,8 +135,8 @@ type Store struct {
 	closed   bool
 
 	// failAppends, when > 0, fails every Append after that many more
-	// succeed — the seeded-chaos hook the service-layer crash harness uses
-	// to exercise degraded-store paths without a real disk failure.
+	// succeed — the test seam that exercises degraded-store paths without
+	// a real disk failure.
 	failAppends int64
 
 	// observer, when set, receives per-append latency stats (see
@@ -437,7 +437,7 @@ func (s *Store) Append(rec Record) error {
 	return nil
 }
 
-// FailAppendsAfter arms the chaos hook: the next n-1 Appends succeed,
+// FailAppendsAfter arms the failure hook: the next n-1 Appends succeed,
 // the n-th fails with an injected error (and the hook disarms). n <= 0
 // disarms. Test harnesses use this to drive the degraded-store path.
 func (s *Store) FailAppendsAfter(n int64) {

@@ -32,15 +32,18 @@ type chromeFile struct {
 	Metadata        map[string]any `json:"metadata,omitempty"`
 }
 
-// uopSpan accumulates one μop's stage timestamps between decode and
-// commit/squash.
-type uopSpan struct {
-	label           string
-	dispatch, ready uint64
-	issue, done     uint64
-	port            int
-	haveDispatch    bool
-	haveIssue       bool
+// WriteTraceEvents writes events as one Chrome trace_event JSON object
+// carrying metadata. It sorts events by timestamp in place first (stable,
+// so equal timestamps keep their emission order), which makes every
+// track monotonic. Both trace_event producers — ChromeSink and the
+// serving stack's span trees — write through it.
+func WriteTraceEvents(w io.Writer, events []TraceEvent, metadata map[string]any) error {
+	sort.SliceStable(events, func(i, j int) bool { return events[i].TS < events[j].TS })
+	return json.NewEncoder(w).Encode(chromeFile{
+		TraceEvents:     events,
+		DisplayTimeUnit: "ms",
+		Metadata:        metadata,
+	})
 }
 
 // ChromeSink renders the event stream as a Chrome trace_event JSON file:
@@ -50,10 +53,10 @@ type uopSpan struct {
 // so every track's timestamps are monotonic. Cycle numbers are reported as
 // microseconds (1 cycle = 1 µs) purely for viewer ergonomics.
 type ChromeSink struct {
-	w        io.WriteCloser
-	events   []TraceEvent
-	inflight map[uint64]*uopSpan
-	closed   bool
+	w      io.WriteCloser
+	events []TraceEvent
+	life   LifetimeTracker
+	closed bool
 }
 
 // Track layout of the generated trace.
@@ -74,63 +77,41 @@ func NewChromeSink(path string) (*ChromeSink, error) {
 
 // NewChromeSinkWriter writes a Chrome trace to w, closing it on Close.
 func NewChromeSinkWriter(w io.WriteCloser) *ChromeSink {
-	return &ChromeSink{w: w, inflight: make(map[uint64]*uopSpan)}
+	return &ChromeSink{w: w}
 }
 
 // Event implements Sink.
 func (c *ChromeSink) Event(e *Event) {
-	switch e.Kind {
-	case KindDecode:
-		c.inflight[e.Seq] = &uopSpan{label: e.Label}
-	case KindDispatch:
-		if sp := c.inflight[e.Seq]; sp != nil {
-			sp.dispatch, sp.port, sp.haveDispatch = e.Cycle, int(e.Port), true
-		}
-	case KindIssue:
-		if sp := c.inflight[e.Seq]; sp != nil {
-			sp.issue, sp.ready, sp.haveIssue = e.Cycle, e.Arg, true
-		}
-	case KindExec:
-		if sp := c.inflight[e.Seq]; sp != nil {
-			sp.done = e.Arg
-		}
-	case KindCommit:
-		sp := c.inflight[e.Seq]
-		if sp == nil || !sp.haveDispatch || !sp.haveIssue {
-			return
-		}
-		delete(c.inflight, e.Seq)
-		name := sp.label
-		if name == "" {
-			name = e.Op.String()
-		}
-		end := sp.done
-		if end < sp.issue {
-			end = sp.issue
-		}
-		dur := end - sp.dispatch
-		if dur == 0 {
-			dur = 1
-		}
-		c.events = append(c.events, TraceEvent{
-			Name: name, Cat: e.Cls.String(), Ph: "X",
-			TS: sp.dispatch, Dur: dur, PID: chromePID, TID: sp.port,
-			Args: map[string]any{
-				"seq":    e.Seq,
-				"ready":  sp.ready,
-				"issue":  sp.issue,
-				"commit": e.Cycle,
-			},
-		})
-	case KindFlush:
+	if e.Kind == KindFlush {
 		c.events = append(c.events, TraceEvent{
 			Name: "flush", Ph: "i", TS: e.Cycle, PID: chromePID,
 			TID: chromeTIDFlush, S: "g",
 			Args: map[string]any{"bound": e.Seq},
 		})
-	case KindSquash:
-		delete(c.inflight, e.Seq)
+		return
 	}
+	u, ok := c.life.Observe(e)
+	if !ok {
+		return
+	}
+	name := u.Label
+	if name == "" {
+		name = e.Op.String()
+	}
+	dur := u.Complete - u.Dispatch
+	if dur == 0 {
+		dur = 1
+	}
+	c.events = append(c.events, TraceEvent{
+		Name: name, Cat: e.Cls.String(), Ph: "X",
+		TS: u.Dispatch, Dur: dur, PID: chromePID, TID: u.Port,
+		Args: map[string]any{
+			"seq":    u.Seq,
+			"ready":  u.Ready,
+			"issue":  u.Issue,
+			"commit": u.Commit,
+		},
+	})
 }
 
 // Interval implements Sink: counter tracks for occupancy/queue pressure
@@ -148,24 +129,18 @@ func (c *ChromeSink) Interval(iv Interval) {
 	)
 }
 
-// Close implements Sink: sorts buffered events by timestamp (making every
-// track monotonic) and writes the trace_event JSON object.
+// Close implements Sink: writes the buffered events through
+// WriteTraceEvents.
 func (c *ChromeSink) Close() error {
 	if c.closed {
 		return nil
 	}
 	c.closed = true
-	sort.SliceStable(c.events, func(i, j int) bool { return c.events[i].TS < c.events[j].TS })
-	enc := json.NewEncoder(c.w)
-	err := enc.Encode(chromeFile{
-		TraceEvents:     c.events,
-		DisplayTimeUnit: "ms",
-		Metadata:        map[string]any{"unit": "1 ts = 1 core cycle"},
-	})
+	err := WriteTraceEvents(c.w, c.events, map[string]any{"unit": "1 ts = 1 core cycle"})
 	if cerr := c.w.Close(); err == nil {
 		err = cerr
 	}
-	c.events, c.inflight = nil, nil
+	c.events, c.life = nil, LifetimeTracker{}
 	return err
 }
 

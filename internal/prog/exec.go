@@ -94,9 +94,6 @@ type Trace struct {
 	Program *Program
 	Ops     []isa.DynInst
 	Final   *ArchState
-	// LoadValues[i] is the value loaded by Ops[i] if it is a load
-	// (used by store-to-load forwarding checks in tests).
-	LoadValues map[uint64]int64 // seq → value
 }
 
 // Execute runs the program functionally and returns its dynamic trace.
@@ -126,11 +123,7 @@ func ExecuteContext(ctx context.Context, p *Program, maxOps int) (*Trace, error)
 		st.Mem[a] = v
 	}
 
-	tr := &Trace{
-		Program:    p,
-		Final:      st,
-		LoadValues: make(map[uint64]int64),
-	}
+	tr := &Trace{Program: p, Final: st}
 	pc := 0
 	done := ctx.Done()
 	for len(tr.Ops) < maxOps {
@@ -156,9 +149,7 @@ func ExecuteContext(ctx context.Context, p *Program, maxOps int) (*Trace, error)
 		case isa.OpNop: // no architectural effect
 		case isa.OpLoad:
 			addr = uint64(st.Regs[in.Base]+in.Imm) &^ 7
-			v := st.LoadWord(addr)
-			st.Regs[in.Dst] = v
-			tr.LoadValues[seq] = v
+			st.Regs[in.Dst] = st.LoadWord(addr)
 		case isa.OpStore:
 			addr = uint64(st.Regs[in.Base]+in.Imm) &^ 7
 			st.StoreWord(addr, st.Regs[in.Src1])

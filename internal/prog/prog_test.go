@@ -70,7 +70,8 @@ func TestExecuteMemory(t *testing.T) {
 	if got := tr.Final.LoadWord(0x1008); got != 50 {
 		t.Errorf("mem[0x1008] = %d, want 50", got)
 	}
-	// Dynamic record checks: addresses resolved, load values recorded.
+	// Dynamic record checks: addresses resolved, the first load's value
+	// landed in its destination register.
 	var loads, stores int
 	for _, d := range tr.Ops {
 		if d.IsLoad() {
@@ -89,8 +90,8 @@ func TestExecuteMemory(t *testing.T) {
 	if loads != 2 || stores != 1 {
 		t.Errorf("loads=%d stores=%d, want 2,1", loads, stores)
 	}
-	if v, ok := tr.LoadValues[tr.Ops[1].Seq]; !ok || v != 42 {
-		t.Errorf("LoadValues[first load] = %d,%v", v, ok)
+	if got := tr.Final.Regs[isa.R(2)]; got != 42 {
+		t.Errorf("r2 = %d, want 42 (first load)", got)
 	}
 }
 

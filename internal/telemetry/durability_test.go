@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,10 +21,18 @@ import (
 // mounted on an httptest server; both tear down with the test.
 func newDurableTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
 	t.Helper()
+	return newFailingTestServer(t, opts, nil)
+}
+
+// newFailingTestServer is newDurableTestServer with a failAttempt hook
+// installed before the workers start.
+func newFailingTestServer(t *testing.T, opts Options, failAttempt func(jobID, attempt int) error) (*Server, *httptest.Server) {
+	t.Helper()
 	if opts.HeartbeatCycles == 0 {
 		opts.HeartbeatCycles = 500
 	}
 	s := mustServer(t, opts)
+	s.failAttempt = failAttempt
 	s.Start()
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
@@ -34,6 +44,21 @@ func newDurableTestServer(t *testing.T, opts Options) (*Server, *httptest.Server
 	return s, ts
 }
 
+// errInjectedFailure is the failure failFirst's hook assigns.
+var errInjectedFailure = errors.New("injected attempt failure")
+
+// failFirst returns a failAttempt hook that fails the first n attempts
+// server-wide, before they run, then lets every attempt through.
+func failFirst(n int64) func(jobID, attempt int) error {
+	var failed atomic.Int64
+	return func(int, int) error {
+		if failed.Add(1) <= n {
+			return errInjectedFailure
+		}
+		return nil
+	}
+}
+
 func openStore(t *testing.T, dir string) *jobstore.Store {
 	t.Helper()
 	st, err := jobstore.Open(dir)
@@ -43,16 +68,15 @@ func openStore(t *testing.T, dir string) *jobstore.Store {
 	return st
 }
 
-// TestRetryBackoffToSuccess: a chaos-failed first attempt retries with
+// TestRetryBackoffToSuccess: an injected first-attempt failure retries with
 // backoff and the job still completes, with the attempt history visible
 // in the job view and the retry counter in /metrics.
 func TestRetryBackoffToSuccess(t *testing.T) {
-	s, ts := newDurableTestServer(t, Options{
-		ChaosSpec:      "failn=1",
+	s, ts := newFailingTestServer(t, Options{
 		MaxRetries:     2,
 		RetryBaseDelay: time.Millisecond,
 		RetryMaxDelay:  4 * time.Millisecond,
-	})
+	}, failFirst(1))
 	v := submitJob(t, ts, JobSpec{Arch: "Ballerino", Workload: "store-load", Ops: 10_000})
 	job := waitForState(t, s, v.ID, JobDone)
 	if got := job.Attempts(); got != 2 {
@@ -74,11 +98,10 @@ func TestRetryBackoffToSuccess(t *testing.T) {
 // in the dead-letter tier (visible over GET /deadletter and the gauge),
 // and POST /jobs/{id}/retry revives it to run again.
 func TestDeadLetterParkAndRevive(t *testing.T) {
-	s, ts := newDurableTestServer(t, Options{
-		ChaosSpec:      "failn=2", // both budgeted attempts fail; the revived one runs clean
+	s, ts := newFailingTestServer(t, Options{
 		MaxRetries:     1,
 		RetryBaseDelay: time.Millisecond,
-	})
+	}, failFirst(2)) // both budgeted attempts fail; the revived one runs clean
 	v := submitJob(t, ts, JobSpec{Arch: "Ballerino", Workload: "store-load", Ops: 10_000})
 	job := waitForState(t, s, v.ID, JobParked)
 	if got := job.Attempts(); got != 2 {
@@ -344,10 +367,10 @@ func TestRecoveryParksExhaustedJobs(t *testing.T) {
 	dir := t.TempDir()
 	srvA := mustServer(t, Options{
 		Store:          openStore(t, dir),
-		ChaosSpec:      "failn=10",
 		MaxRetries:     1,
 		RetryBaseDelay: time.Millisecond,
 	})
+	srvA.failAttempt = failFirst(10)
 	srvA.Start()
 	v, err := srvA.Submit(JobSpec{Arch: "Ballerino", Workload: "store-load", Ops: 10_000})
 	if err != nil {
@@ -364,17 +387,5 @@ func TestRecoveryParksExhaustedJobs(t *testing.T) {
 	job := s.Job(v.ID)
 	if job == nil || job.State() != JobParked {
 		t.Fatalf("recovered job = %+v, want parked", job)
-	}
-}
-
-// TestChaosSpecValidation: malformed chaos directives fail construction.
-func TestChaosSpecValidation(t *testing.T) {
-	for _, spec := range []string{"fail=2", "fail=x", "seed=", "nope=1", "seed"} {
-		if _, err := NewServer(Options{ChaosSpec: spec}); err == nil {
-			t.Errorf("chaos spec %q accepted", spec)
-		}
-	}
-	if _, err := NewServer(Options{ChaosSpec: "seed=42, fail=0.5, failn=3"}); err != nil {
-		t.Errorf("valid chaos spec rejected: %v", err)
 	}
 }

@@ -29,8 +29,8 @@ type JobSpec struct {
 	DisableMDP     bool   `json:"disable_mdp,omitempty"`
 	DVFS           string `json:"dvfs,omitempty"`
 	// MaxCycles aborts a stuck simulation after that many cycles (0 =
-	// 100× the dynamic μop budget) — the knob chaos and dead-letter tests
-	// use to make a job fail deterministically.
+	// 100× the dynamic μop budget) — also how a job is made to fail
+	// deterministically in the "simulate" stage.
 	MaxCycles uint64 `json:"max_cycles,omitempty"`
 	// Topdown attaches top-down CPI-stack cycle accounting to the run; the
 	// per-category slot counters then stream through the heartbeat fan-out
@@ -65,36 +65,18 @@ func (sp JobSpec) Config() ballerino.Config {
 }
 
 // lower resolves the spec to its runnable config: when TraceFile is set,
-// the trace is imported — through tc when non-nil, so a server shares one
-// decode across jobs — and its workload identity overlaid on the config.
+// the trace is imported through tc, so a server shares one decode across
+// jobs, and its workload identity overlaid on the config.
 func (sp JobSpec) lower(ctx context.Context, tc *ballerino.TraceCache) (ballerino.Config, error) {
 	cfg := sp.Config()
 	if sp.TraceFile == "" {
 		return cfg, nil
 	}
-	var t *ballerino.Trace
-	var err error
-	if tc != nil {
-		t, err = tc.Import(ctx, sp.TraceFile)
-	} else {
-		t, err = ballerino.ImportTrace(sp.TraceFile)
-	}
+	t, err := tc.Import(ctx, sp.TraceFile)
 	if err != nil {
 		return cfg, err
 	}
 	return t.Configure(cfg), nil
-}
-
-// Key returns the spec's config+trace content key — the identity the
-// durable store addresses completed results by. JobSpec cannot express a
-// custom program, so the key always exists for a valid spec (for a
-// TraceFile spec, provided the file is readable).
-func (sp JobSpec) Key() (string, error) {
-	cfg, err := sp.lower(context.Background(), nil)
-	if err != nil {
-		return "", err
-	}
-	return cfg.ContentKey()
 }
 
 // JobState is a job's lifecycle phase.

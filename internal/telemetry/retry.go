@@ -1,20 +1,15 @@
-// Retry policy and seeded service-layer chaos.
+// Retry policy.
 //
 // Failed attempts are retried with capped exponential backoff plus
 // jitter, following the tiered failure-queue bookkeeping reviewed in the
 // tsuku snippets: each failure moves the job one tier back (longer
 // wait), and a job that exhausts its retry budget is parked in the
-// dead-letter tier instead of looping forever. All randomness — jitter
-// and chaos — flows from one seeded source, so a harness run with a
-// fixed seed replays the exact same schedule, in the same spirit as
-// internal/faults' timing-only fault injection.
+// dead-letter tier instead of looping forever. The jitter comes from a
+// fixed-seed source, so a run replays the exact same backoff schedule.
 package telemetry
 
 import (
-	"fmt"
 	"math/rand"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 )
@@ -26,80 +21,24 @@ const (
 	defaultRetryCap  = 15 * time.Second
 )
 
-// retrier computes backoff delays and injects seeded chaos. One per
-// server; safe for concurrent use.
+// retrier computes jittered backoff delays. One per server; safe for
+// concurrent use.
 type retrier struct {
 	base time.Duration
 	cap  time.Duration
 
-	mu       sync.Mutex
-	rng      *rand.Rand
-	failRate float64 // probability an attempt is chaos-failed before it runs
-	failN    int64   // deterministic: fail the first N attempts outright
-	failed   int64   // attempts already chaos-failed by failN
+	mu  sync.Mutex
+	rng *rand.Rand
 }
 
-// parseChaos parses a "seed=7,fail=0.3" chaos directive (all fields
-// optional; empty spec = no chaos, seed 1). The same mini-grammar as
-// internal/faults' fault specs. `fail` chaos-fails each attempt with that
-// probability from the seeded stream; `failn` deterministically fails the
-// first N attempts server-wide — the knob the retry and dead-letter
-// harnesses use for exact schedules.
-func parseChaos(spec string) (seed int64, failRate float64, failN int64, err error) {
-	seed = 1
-	if spec == "" {
-		return seed, 0, 0, nil
-	}
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		k, v, ok := strings.Cut(part, "=")
-		if !ok {
-			return 0, 0, 0, fmt.Errorf("telemetry: chaos spec %q: want key=value", part)
-		}
-		switch k {
-		case "seed":
-			seed, err = strconv.ParseInt(v, 10, 64)
-			if err != nil {
-				return 0, 0, 0, fmt.Errorf("telemetry: chaos seed %q: %w", v, err)
-			}
-		case "fail":
-			failRate, err = strconv.ParseFloat(v, 64)
-			if err != nil || failRate < 0 || failRate > 1 {
-				return 0, 0, 0, fmt.Errorf("telemetry: chaos fail rate %q: want 0..1", v)
-			}
-		case "failn":
-			failN, err = strconv.ParseInt(v, 10, 64)
-			if err != nil || failN < 0 {
-				return 0, 0, 0, fmt.Errorf("telemetry: chaos failn %q: want a non-negative count", v)
-			}
-		default:
-			return 0, 0, 0, fmt.Errorf("telemetry: unknown chaos key %q (valid: seed, fail, failn)", k)
-		}
-	}
-	return seed, failRate, failN, nil
-}
-
-func newRetrier(base, cap time.Duration, chaosSpec string) (*retrier, error) {
-	seed, failRate, failN, err := parseChaos(chaosSpec)
-	if err != nil {
-		return nil, err
-	}
+func newRetrier(base, cap time.Duration) *retrier {
 	if base <= 0 {
 		base = defaultRetryBase
 	}
 	if cap <= 0 {
 		cap = defaultRetryCap
 	}
-	return &retrier{
-		base:     base,
-		cap:      cap,
-		rng:      rand.New(rand.NewSource(seed)),
-		failRate: failRate,
-		failN:    failN,
-	}, nil
+	return &retrier{base: base, cap: cap, rng: rand.New(rand.NewSource(1))}
 }
 
 // backoff returns the jittered delay before retry number `failure`
@@ -119,20 +58,4 @@ func (r *retrier) backoff(failure int) time.Duration {
 	j := time.Duration(r.rng.Int63n(int64(half) + 1))
 	r.mu.Unlock()
 	return half + j
-}
-
-// chaosFail reports whether chaos should fail this attempt before it
-// runs: deterministically while the failn budget lasts, then with the
-// seeded per-attempt probability.
-func (r *retrier) chaosFail() bool {
-	if r.failRate == 0 && r.failN == 0 {
-		return false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.failed < r.failN {
-		r.failed++
-		return true
-	}
-	return r.failRate > 0 && r.rng.Float64() < r.failRate
 }

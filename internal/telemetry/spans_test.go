@@ -81,19 +81,18 @@ func countSpans(tree *span.Tree, name string) int {
 	return n
 }
 
-// TestLifecycleSpansWellFormedUnderChaos drives a 4-worker server with
-// deterministic chaos (the first three attempts fail and retry) and
+// TestLifecycleSpansWellFormedUnderChaos drives a 4-worker server whose
+// first three attempts fail by injection and retry, and
 // checks every finished job's span tree: well-formed, one attempt span
 // per started attempt, a backoff span per retry, and a closed queue.wait
 // preceding each attempt.
 func TestLifecycleSpansWellFormedUnderChaos(t *testing.T) {
-	s, ts := newDurableTestServer(t, Options{
+	s, ts := newFailingTestServer(t, Options{
 		Workers:        4,
 		MaxRetries:     3,
 		RetryBaseDelay: 5 * time.Millisecond,
-		ChaosSpec:      "seed=7,failn=3",
 		Tracer:         span.NewTracer(0),
-	})
+	}, failFirst(3))
 	const jobs = 6
 	views := make([]JobView, 0, jobs)
 	for i := 0; i < jobs; i++ {

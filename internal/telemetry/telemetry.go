@@ -75,10 +75,6 @@ type Options struct {
 	// Workers is the number of jobs executed concurrently (0 or negative =
 	// 1, the classic strictly-ordered queue).
 	Workers int
-	// TraceCacheBytes is the byte budget of the server's shared trace
-	// cache (0 = ballerino.DefaultTraceCacheBytes, negative = unbounded).
-	// Jobs over the same kernel and μop budget share one generated trace.
-	TraceCacheBytes int64
 
 	// Store, when non-nil, makes the job queue durable: every lifecycle
 	// transition is WAL-appended before it is acted on, Start replays the
@@ -101,11 +97,6 @@ type Options struct {
 	// (0 = 15s). Every delay is jittered to 50–100% of nominal.
 	RetryBaseDelay time.Duration
 	RetryMaxDelay  time.Duration
-	// ChaosSpec injects seeded service-layer chaos, e.g. "seed=7,fail=0.25"
-	// fails 25% of attempts (before they run) from a deterministic seeded
-	// stream — the internal/faults idiom lifted to the job fabric, used by
-	// the crash/degradation harnesses.
-	ChaosSpec string
 
 	// Tracer, when non-nil, records a lifecycle span tree per job (see
 	// internal/span): submit → queue.wait → wal.append → attempt[n]
@@ -137,10 +128,6 @@ func (e *SaturatedError) Error() string {
 // could not persist the submitted record — accepting a job the WAL never
 // saw would break the crash-safety contract.
 var ErrStoreDegraded = errors.New("telemetry: durable store unavailable")
-
-// errChaosInjected is the synthetic failure the seeded chaos injector
-// assigns to an attempt it kills.
-var errChaosInjected = errors.New("chaos: injected attempt failure")
 
 // Server executes simulation jobs and serves their live telemetry. Create
 // with NewServer, start the worker with Start, mount Handler, and stop
@@ -176,7 +163,14 @@ type Server struct {
 	ewmaMu  sync.Mutex
 	ewmaSec float64 // EWMA of job attempt duration, seconds
 
-	traces *ballerino.TraceCache // shared across all served jobs
+	// traces is shared across all served jobs: jobs over the same kernel
+	// and μop budget share one generated trace.
+	traces *ballerino.TraceCache
+
+	// failAttempt, when set, runs before each attempt; a non-nil error
+	// fails the attempt without simulating. A test seam for the retry and
+	// dead-letter paths, set before Start.
+	failAttempt func(jobID, attempt int) error
 
 	tracer *span.Tracer // nil = lifecycle tracing off
 	log    *slog.Logger // never nil (discard handler when unset)
@@ -198,18 +192,14 @@ type Server struct {
 	live   *liveJob     // most recently started (or finished) job's live state
 }
 
-// NewServer builds a server (not yet running; call Start). The only
-// constructor error is a malformed Options.ChaosSpec.
+// NewServer builds a server (not yet running; call Start). The error is
+// always nil today; the signature stays stable for existing callers.
 func NewServer(opts Options) (*Server, error) {
 	if opts.QueueDepth == 0 {
 		opts.QueueDepth = 64
 	}
 	if opts.Workers <= 0 {
 		opts.Workers = 1
-	}
-	retry, err := newRetrier(opts.RetryBaseDelay, opts.RetryMaxDelay, opts.ChaosSpec)
-	if err != nil {
-		return nil, err
 	}
 	logger := opts.Logger
 	if logger == nil {
@@ -223,7 +213,7 @@ func NewServer(opts Options) (*Server, error) {
 	s := &Server{
 		opts:      opts,
 		hub:       newHub(logger),
-		retry:     retry,
+		retry:     newRetrier(opts.RetryBaseDelay, opts.RetryMaxDelay),
 		store:     opts.Store,
 		baseCtx:   ctx,
 		cancelAll: cancel,
@@ -231,7 +221,7 @@ func NewServer(opts Options) (*Server, error) {
 		jobs:      make(map[int]*Job),
 		run:       make(map[int]*Job),
 		nextID:    1,
-		traces:    ballerino.NewTraceCache(opts.TraceCacheBytes),
+		traces:    ballerino.NewTraceCache(0),
 		tracer:    opts.Tracer,
 		log:       logger,
 		waitHist: obs.NewExemplarHist("ballserved_queue_wait_seconds",
@@ -769,10 +759,10 @@ func (s *Server) runJob(job *Job) {
 	var res *ballerino.Result
 	var err error
 	var flushMsg string
-	if s.retry.chaosFail() {
-		err = errChaosInjected
-		asp.SetAttr("chaos", "injected")
-	} else {
+	if s.failAttempt != nil {
+		err = s.failAttempt(job.ID, attempt)
+	}
+	if err == nil {
 		// Label the worker goroutine for the duration of the attempt, so
 		// CPU profiles segment by job identity.
 		rtpprof.Do(runCtx, rtpprof.Labels(

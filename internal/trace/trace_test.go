@@ -44,49 +44,8 @@ func stream() []obs.Event {
 	}
 }
 
-func TestAssemble(t *testing.T) {
-	w := Assemble(stream(), 10, 13)
-	if len(w) != 3 {
-		t.Fatalf("got %d μops, want 3", len(w))
-	}
-	// Commit order.
-	for i, want := range []uint64{10, 11, 12} {
-		if w[i].Seq != want {
-			t.Errorf("window[%d].Seq = %d, want %d", i, w[i].Seq, want)
-		}
-	}
-	// Seq 11 must reflect the refetched (committed) incarnation.
-	u := w[1]
-	if u.Decode != 11 || u.Dispatch != 13 || u.Issue != 14 || u.Ready != 13 || u.Complete != 18 || u.Commit != 19 {
-		t.Errorf("seq 11 timeline = %+v, want refetched incarnation", u)
-	}
-	if u.Label != "pc=1 load r2, [0x40]" {
-		t.Errorf("seq 11 label = %q", u.Label)
-	}
-
-	if got := Assemble(stream(), 11, 12); len(got) != 1 || got[0].Seq != 11 {
-		t.Errorf("sub-window [11,12) = %+v", got)
-	}
-	if got := Assemble(nil, 0, 100); got != nil {
-		t.Errorf("empty stream: got %+v", got)
-	}
-}
-
-// TestAssembleIncomplete drops partial timelines rather than emitting
-// garbage: a commit without a preceding decode/dispatch/issue is skipped.
-func TestAssembleIncomplete(t *testing.T) {
-	events := []obs.Event{
-		{Kind: obs.KindCommit, Cycle: 5, Seq: 1},
-		{Kind: obs.KindDecode, Cycle: 1, Seq: 2, Label: "x"},
-		{Kind: obs.KindCommit, Cycle: 6, Seq: 2},
-	}
-	if got := Assemble(events, 0, 100); len(got) != 0 {
-		t.Errorf("incomplete timelines leaked: %+v", got)
-	}
-}
-
 func TestWriteKanataGolden(t *testing.T) {
-	window := Assemble(stream(), 10, 13)
+	window := obs.Assemble(stream(), 10, 13)
 	var buf bytes.Buffer
 	if err := WriteKanata(&buf, window); err != nil {
 		t.Fatal(err)

@@ -13,8 +13,8 @@ import (
 )
 
 // Decoded is the result of reading one trace file: its header and the
-// reconstructed in-memory trace. Trace.Final and Trace.LoadValues are nil
-// when the file omitted the optional oracle chunks.
+// reconstructed in-memory trace. Trace.Final is nil when the file omitted
+// the optional final-state chunk.
 type Decoded struct {
 	Header Header
 	Trace  *prog.Trace
@@ -180,9 +180,8 @@ func Decode(rd io.Reader) (*Decoded, error) {
 				return nil, err
 			}
 		case chunkLoadValues:
-			if err := decodeLoadValues(p, d.Trace); err != nil {
-				return nil, err
-			}
+			// Legacy: checksummed and order-checked above, never decoded.
+			continue
 		case chunkFinal:
 			if err := decodeFinal(p, d.Trace); err != nil {
 				return nil, err
@@ -483,35 +482,6 @@ func decodeOps(p *payload, tr *prog.Trace, prevAddr *uint64) error {
 		}
 		tr.Ops = append(tr.Ops, prog.NewDynInst(in, uint64(len(tr.Ops)), int(pcU), addr, taken))
 	}
-	return nil
-}
-
-func decodeLoadValues(p *payload, tr *prog.Trace) error {
-	n, err := p.uvarint()
-	if err != nil {
-		return err
-	}
-	if int64(n) > int64(p.remaining())/2 {
-		return p.errAt(fmt.Errorf("load-value count %d exceeds payload", n))
-	}
-	lv := make(map[uint64]int64, n)
-	seq := uint64(0)
-	for i := uint64(0); i < n; i++ {
-		d, err := p.uvarint()
-		if err != nil {
-			return err
-		}
-		seq += d
-		if seq >= uint64(len(tr.Ops)) {
-			return p.errAt(fmt.Errorf("load value for seq %d outside stream (%d ops)", seq, len(tr.Ops)))
-		}
-		v, err := p.varint()
-		if err != nil {
-			return err
-		}
-		lv[seq] = v
-	}
-	tr.LoadValues = lv
 	return nil
 }
 

@@ -3,8 +3,8 @@
 //
 // A trace file is the portable form of one prog.Trace: the static program
 // (instructions plus initial register/memory image), the dynamic μop
-// stream, and the functional oracle (final architectural state and
-// per-load values) that the audit golden model cross-checks against. Any
+// stream, and the functional oracle (final architectural state) that the
+// audit golden model cross-checks against. Any
 // trace the simulator can run can be exported, and any well-formed file
 // can be imported and fed back through ballerino.PrepareTrace /
 // Config.Trace, the batch API, the content-addressed TraceCache and
@@ -21,7 +21,11 @@
 //	          payload
 //	          crc     uint32 LE CRC-32C of the payload
 //	        in fixed order: program, ops (repeated), load-values
-//	        (optional), final-state (optional), end
+//	        (legacy, optional), final-state (optional), end
+//
+// The load-value chunk (0x03) is never written. Older writers emitted it
+// as a per-load oracle nothing consumed; the reader still verifies its
+// CRC and its place in the order, then skips it.
 //
 // The header is JSON so the file identifies itself to tools that know
 // nothing of the chunk encoding: format name, format version, the ISA
@@ -73,7 +77,7 @@ const OpsPerChunk = 8192
 const (
 	chunkProgram    = 0x01 // static program: insts + initial reg/mem image
 	chunkOps        = 0x02 // dynamic μop stream slice (repeated)
-	chunkLoadValues = 0x03 // seq → loaded value oracle (optional)
+	chunkLoadValues = 0x03 // legacy load-value oracle: read and skipped, never written
 	chunkFinal      = 0x04 // final architectural state oracle (optional)
 	chunkEnd        = 0x7F // total op count + stream digest; must be last
 )

@@ -58,9 +58,6 @@ func TestRoundTrip(t *testing.T) {
 					t.Fatalf("op %d differs:\n got %+v\nwant %+v", i, got.Ops[i], tr.Ops[i])
 				}
 			}
-			if !reflect.DeepEqual(got.LoadValues, tr.LoadValues) {
-				t.Fatalf("load values not identical after round trip")
-			}
 			if got.Final == nil || got.Final.Regs != tr.Final.Regs ||
 				!reflect.DeepEqual(got.Final.Mem, tr.Final.Mem) {
 				t.Fatalf("final state not identical after round trip")
@@ -234,6 +231,77 @@ func TestUnknownChunkSkipped(t *testing.T) {
 	}
 }
 
+// TestLegacyLoadValuesChunkSkipped: files from writers that still emitted
+// the load-value chunk (0x03) decode to the same trace — the chunk is
+// CRC-checked and order-checked, then skipped — and one out of order is
+// rejected.
+func TestLegacyLoadValuesChunkSkipped(t *testing.T) {
+	tr := testTrace(t, "store-load", 3000)
+	raw := encode(t, tr, Header{})
+	orig, err := Decode(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The legacy payload: count, then (delta seq, zigzag value) pairs.
+	payload := binary.AppendUvarint(nil, 2)
+	payload = binary.AppendUvarint(payload, 1)
+	payload = binary.AppendUvarint(payload, 84)
+	payload = binary.AppendUvarint(payload, 3)
+	payload = binary.AppendUvarint(payload, 7)
+	var chunk bytes.Buffer
+	chunk.WriteByte(chunkLoadValues)
+	chunk.Write(binary.AppendUvarint(nil, uint64(len(payload))))
+	chunk.Write(payload)
+	var crc [4]byte
+	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(payload, crcTable))
+	chunk.Write(crc[:])
+
+	// Legacy files carry it between the last ops chunk and the
+	// final-state chunk.
+	final := chunkOffset(t, raw, chunkFinal)
+	spliced := append(bytes.Clone(raw[:final]), append(chunk.Bytes(), raw[final:]...)...)
+	d, err := Decode(bytes.NewReader(spliced))
+	if err != nil {
+		t.Fatalf("decode with legacy load-value chunk: %v", err)
+	}
+	if !reflect.DeepEqual(d.Trace, orig.Trace) {
+		t.Fatalf("legacy load-value chunk changed the decoded trace")
+	}
+
+	// A corrupted CRC still fails.
+	bad := bytes.Clone(spliced)
+	bad[final+chunk.Len()-1] ^= 0xFF
+	if _, err := Decode(bytes.NewReader(bad)); !errors.Is(err, ErrChecksum) {
+		t.Fatalf("corrupt legacy chunk: want ErrChecksum, got %v", err)
+	}
+
+	// After the final-state chunk it is out of order.
+	end := chunkOffset(t, raw, chunkEnd)
+	late := append(bytes.Clone(raw[:end]), append(chunk.Bytes(), raw[end:]...)...)
+	if _, err := Decode(bytes.NewReader(late)); err == nil {
+		t.Fatalf("legacy load-value chunk after final-state accepted")
+	}
+}
+
+// chunkOffset returns the byte offset of the first chunk of type typ in
+// raw, walking the chunk framing from the end of the header.
+func chunkOffset(t *testing.T, raw []byte, typ byte) int {
+	t.Helper()
+	pos := len(Magic)
+	hlen, n := binary.Uvarint(raw[pos:])
+	pos += n + int(hlen) + 4
+	for pos < len(raw) {
+		if raw[pos] == typ {
+			return pos
+		}
+		plen, n := binary.Uvarint(raw[pos+1:])
+		pos += 1 + n + int(plen) + 4
+	}
+	t.Fatalf("no chunk of type %#02x", typ)
+	return 0
+}
+
 // TestWriterOrderEnforced: sections written out of order are rejected.
 func TestWriterOrderEnforced(t *testing.T) {
 	tr := testTrace(t, "stream", 100)
@@ -251,7 +319,7 @@ func TestWriterOrderEnforced(t *testing.T) {
 	if err := w2.WriteFinal(tr.Final); err != nil {
 		t.Fatal(err)
 	}
-	if err := w2.WriteLoadValues(tr.LoadValues); err == nil {
-		t.Fatalf("load-values after final accepted")
+	if err := w2.WriteOps(tr.Ops); err == nil {
+		t.Fatalf("ops after final accepted")
 	}
 }

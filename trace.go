@@ -44,15 +44,14 @@ func (t *Trace) Workload() string { return t.tr.Program.Name }
 func (t *Trace) Key() string { return t.key }
 
 // sizeBytes estimates the trace's resident size for the cache budget: the
-// μop stream itself plus the oracle state (final memory image and
-// load-value map) retained for golden-model verification.
+// μop stream itself plus the final-state oracle (memory image) retained
+// for golden-model verification.
 func (t *Trace) sizeBytes() int64 {
 	const (
 		opBytes  = int64(unsafe.Sizeof(isa.DynInst{}))
 		mapEntry = 48 // rough per-entry cost of a map[uint64]int64
 	)
 	n := int64(len(t.tr.Ops)) * opBytes
-	n += int64(len(t.tr.LoadValues)) * mapEntry
 	if t.tr.Final != nil {
 		n += int64(len(t.tr.Final.Mem)) * mapEntry
 	}
@@ -140,17 +139,6 @@ func resolveProgram(cfg Config) (*prog.Program, error) {
 	return w.Program, nil
 }
 
-// generateTrace runs the functional interpreter for cfg's dynamic budget.
-// Fuel exhaustion is not an error: kernels are infinite-friendly loops the
-// simulator truncates.
-func generateTrace(ctx context.Context, program *prog.Program, cfg Config) (*prog.Trace, error) {
-	tr, err := prog.ExecuteContext(ctx, program, cfg.MaxOps+cfg.WarmupOps)
-	if err != nil && !errors.Is(err, prog.ErrFuel) {
-		return nil, err
-	}
-	return tr, nil
-}
-
 // PrepareTrace generates the dynamic μop trace for cfg without running
 // the timing model. The returned Trace is immutable: set it on any number
 // of Configs (Config.Trace) whose workload identity, footprint and
@@ -165,6 +153,9 @@ func PrepareTrace(ctx context.Context, cfg Config) (*Trace, error) {
 	return prepareResolved(ctx, rc)
 }
 
+// prepareResolved generates the trace for an already-resolved config: the
+// one trace-generation path behind PrepareTrace, TraceCache.Prepare and
+// RunContext, recorded as the "trace.generate" span.
 func prepareResolved(ctx context.Context, rc resolved) (*Trace, error) {
 	simErr := func(stage string, cause error) *SimError {
 		if s, ok := ctxStage(cause); ok {
@@ -178,7 +169,12 @@ func prepareResolved(ctx context.Context, rc resolved) (*Trace, error) {
 	}
 	gsp := span.FromContext(ctx).Child("trace.generate")
 	gsp.SetAttr("workload", rc.Workload)
-	tr, err := generateTrace(ctx, program, rc.Config)
+	// Fuel exhaustion is not an error: kernels are infinite-friendly loops
+	// the simulator truncates.
+	tr, err := prog.ExecuteContext(ctx, program, rc.MaxOps+rc.WarmupOps)
+	if errors.Is(err, prog.ErrFuel) {
+		err = nil
+	}
 	gsp.Fail(err)
 	gsp.End()
 	if err != nil {

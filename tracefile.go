@@ -17,9 +17,9 @@ import (
 
 // WriteTrace records t to w in ballerino.trace/v1 format. The file
 // carries the full replay bundle — static program, dynamic μop stream,
-// and the final-state/load-value oracles the Audit golden model checks
-// against — plus t's content key, so a re-imported trace dedups
-// byte-stably against an in-memory generation of the same kernel.
+// and the final-state oracle the Audit golden model checks against —
+// plus t's content key, so a re-imported trace dedups byte-stably against
+// an in-memory generation of the same kernel.
 func WriteTrace(w io.Writer, t *Trace) error {
 	h := tracefile.Header{
 		Workload:       t.wl,
