@@ -587,6 +587,7 @@ func RunContext(ctx context.Context, cfg Config) (res *Result, err error) {
 
 	rec.FinalizeSched(res.SchedCounters)
 	res.Manifest = buildManifest(cfg, res, rec, sinkInfos, s, time.Since(start).Seconds())
+	res.Manifest.SkippedCycles = p.SkippedCycles()
 	if recOwned {
 		recClosed = true
 		if cerr := rec.Close(); cerr != nil {

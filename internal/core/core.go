@@ -114,6 +114,10 @@ type Ballerino struct {
 	headStallM   uint64
 	headStallDep uint64
 	headEmpty    uint64
+
+	// steeredAt is one past the last cycle that steered a μop out of the
+	// S-IQ: the window then holds μops no Issue has examined yet.
+	steeredAt uint64
 }
 
 // New builds a Ballerino scheduler over the shared P-SCB (renamer) and MDP.
@@ -182,7 +186,7 @@ func locPartition(code int) int { return code % 2 }
 // Issue implements sched.Scheduler. P-IQ head requests occupy the upper
 // prefix-sum inputs (§IV-E), so they are granted before S-IQ requests.
 func (b *Ballerino) Issue(cycle uint64, ctx *sched.IssueCtx) {
-	b.events.SelectInputs += uint64(b.cfg.Width * (b.cfg.NumPIQs + b.cfg.SIQWindow))
+	b.chargeSelect(1)
 	b.ports.Reset()
 	portUsed := &b.ports
 
@@ -206,8 +210,7 @@ func (b *Ballerino) issuePIQHeads(cycle uint64, ctx *sched.IssueCtx, portUsed *s
 			continue
 		}
 		issuedAny := q.selectHeads(b.cfg.Options.IdealSharing, func(u *sched.UOp) container.Verdict {
-			b.events.QueueReads++
-			b.events.PSCBReads += 2
+			b.chargeRead(1)
 			if portUsed.Used(u.Port) {
 				if ctx.PortBlocked != nil {
 					ctx.PortBlocked(u)
@@ -216,11 +219,7 @@ func (b *Ballerino) issuePIQHeads(cycle uint64, ctx *sched.IssueCtx, portUsed *s
 				return container.Keep
 			}
 			if !ctx.Ready(u) {
-				if u.MDPWait != mdp.NoStore {
-					b.headStallM++
-				} else {
-					b.headStallDep++
-				}
+				b.countHeadStall(u, 1)
 				return container.Keep
 			}
 			ctx.Grant(u)
@@ -245,8 +244,7 @@ func (b *Ballerino) issuePIQHeads(cycle uint64, ctx *sched.IssueCtx, portUsed *s
 // dependences. A steering failure stalls the window at that μop.
 func (b *Ballerino) examineSIQ(cycle uint64, ctx *sched.IssueCtx, portUsed *sched.PortMask) {
 	b.siq.SelectWindow(b.cfg.SIQWindow, func(u *sched.UOp) container.Verdict {
-		b.events.QueueReads++
-		b.events.PSCBReads += 2
+		b.chargeRead(1)
 
 		ready := ctx.Ready(u)
 		if ready && !portUsed.Used(u.Port) {
@@ -262,6 +260,7 @@ func (b *Ballerino) examineSIQ(cycle uint64, ctx *sched.IssueCtx, portUsed *sche
 		// Not ready (or §IV-C case 3: ready but its port is taken):
 		// steer to the P-IQs; a failure blocks the window here.
 		if b.steer(u, cycle) {
+			b.steeredAt = cycle + 1
 			if b.probe != nil {
 				b.probe(sched.ProbeSIQPromote, cycle, u.Seq(), 0)
 			}
@@ -368,6 +367,91 @@ func (b *Ballerino) enqueue(iq, part int, u *sched.UOp) {
 	}
 	if b.cfg.Options.MDASteering && u.D.Op == isa.OpStore && u.SSID >= 0 {
 		b.mdp.SetProducerLocation(u.SSID, u.Seq(), code)
+	}
+}
+
+// SkipIdle implements sched.Scheduler. Each cycle every P-IQ's examined
+// head stalls, and the S-IQ head — refused issue and steering in the last
+// period cycles — is refused both again. It declines a span after a steer
+// in those cycles (the window moved). With period 1 it also declines
+// while a shared P-IQ alternates between two occupied partitions (its
+// other head was not examined at now-1) and under SIQFirstSelect with a
+// waiting S-IQ (steering at now-1 saw the P-IQ issue flags of now-2).
+func (b *Ballerino) SkipIdle(now, n uint64, period int) bool {
+	opt := b.cfg.Options
+	if b.steeredAt > now-uint64(period) {
+		return false
+	}
+	if period == 1 {
+		if opt.SIQFirstSelect && !b.siq.Empty() {
+			return false
+		}
+		for i := range b.piqs {
+			if b.piqs[i].alternates() && !opt.IdealSharing {
+				return false
+			}
+		}
+	}
+	b.chargeSelect(n)
+	for i := range b.piqs {
+		q := &b.piqs[i]
+		if q.len() == 0 {
+			b.headEmpty += n
+			continue
+		}
+		// Alternating partitions flip every idle cycle, so the active
+		// head is examined on the span's 1st, 3rd, … cycles and the
+		// other head on the rest. (The ideal design examines both.)
+		var heads [2]int
+		nh := q.activeHeadsInto(opt.IdealSharing, &heads)
+		alt := !opt.IdealSharing && q.alternates()
+		if alt {
+			heads[1], nh = 1-heads[0], 2
+		}
+		for j, part := range heads[:nh] {
+			k := n
+			if alt {
+				k = (n + 1 - uint64(j)) / 2
+			}
+			b.chargeRead(k)
+			b.countHeadStall(q.headOf(part), k)
+		}
+		if n%2 == 1 && q.alternates() {
+			q.active = 1 - q.active
+		}
+	}
+	if !b.siq.Empty() {
+		// The S-IQ head is read, fails to steer and stalls the window.
+		b.chargeRead(n)
+		b.events.SteerOps += n
+		b.steerStalls += n
+	}
+	return true
+}
+
+// The per-cycle charges below are shared by Issue (k = 1) and SkipIdle
+// (k = n skipped cycles), so each rule has one copy.
+
+// chargeSelect charges k cycles of select inputs: every P-IQ head and
+// S-IQ window slot on every issue port.
+func (b *Ballerino) chargeSelect(k uint64) {
+	b.events.SelectInputs += k * uint64(b.cfg.Width*(b.cfg.NumPIQs+b.cfg.SIQWindow))
+}
+
+// chargeRead charges k reads of a queue entry and its two P-SCB source
+// entries.
+func (b *Ballerino) chargeRead(k uint64) {
+	b.events.QueueReads += k
+	b.events.PSCBReads += 2 * k
+}
+
+// countHeadStall counts k cycles in which P-IQ head u was refused issue
+// for not being ready: behind a predicted M-dependence, or register data.
+func (b *Ballerino) countHeadStall(u *sched.UOp, k uint64) {
+	if u.MDPWait != mdp.NoStore {
+		b.headStallM += k
+	} else {
+		b.headStallDep += k
 	}
 }
 

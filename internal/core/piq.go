@@ -171,6 +171,12 @@ func (q *piq) endCyclePolicy(issued, forceSwitch bool) {
 	}
 }
 
+// alternates reports whether idle cycles flip the active partition: a
+// shared queue with both partitions occupied.
+func (q *piq) alternates() bool {
+	return q.sharing && q.parts[0].count > 0 && q.parts[1].count > 0
+}
+
 // shareable reports whether the normal-mode queue satisfies the same-half
 // pointer constraint: occupied slots all within one physical half.
 func (q *piq) shareable() bool {

@@ -25,9 +25,14 @@ type Manifest struct {
 	GitRevision string `json:"git_revision,omitempty"`
 	Hostname    string `json:"hostname,omitempty"`
 
-	Sim         SimInfo  `json:"sim"`
-	WallSeconds float64  `json:"wall_seconds"`
-	Stats       RunStats `json:"stats"`
+	Sim         SimInfo `json:"sim"`
+	WallSeconds float64 `json:"wall_seconds"`
+	// SkippedCycles counts the measured cycles the event horizon
+	// fast-forwarded instead of simulating one by one. It is host-side
+	// cost, not machine behaviour — every statistic is identical either
+	// way — so Canonical zeroes it like WallSeconds.
+	SkippedCycles uint64   `json:"skipped_cycles,omitempty"`
+	Stats         RunStats `json:"stats"`
 
 	Delay  map[string]DelayInfo `json:"delay,omitempty"`
 	Energy EnergyInfo           `json:"energy"`
@@ -151,10 +156,11 @@ func (m *Manifest) JSON() ([]byte, error) {
 
 // Canonical returns a copy of the manifest with every
 // environment-volatile field — creation time, Go version, VCS revision,
-// hostname, wall time, sink paths — zeroed. Two runs of the same
-// configuration produce byte-identical canonical manifests regardless of
-// machine, process or wall clock: the equality the durable job store's
-// content-addressed results and the crash-recovery harness assert.
+// hostname, wall time, skipped cycles, sink paths — zeroed. Two runs of
+// the same configuration produce byte-identical canonical manifests
+// regardless of machine, process, wall clock or whether cycles were
+// skipped: the equality the durable job store's content-addressed
+// results and the crash-recovery harness assert.
 func (m *Manifest) Canonical() *Manifest {
 	c := *m
 	c.CreatedAt = ""
@@ -162,6 +168,7 @@ func (m *Manifest) Canonical() *Manifest {
 	c.GitRevision = ""
 	c.Hostname = ""
 	c.WallSeconds = 0
+	c.SkippedCycles = 0
 	c.Sinks = nil
 	return &c
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/pipeline"
 	"repro/internal/prog"
+	"repro/internal/sched"
 )
 
 // loopProgram builds an unbounded counting loop — enough dynamic μops for
@@ -97,5 +98,41 @@ func TestRunContextBackgroundUnchanged(t *testing.T) {
 	}
 	if s.Committed != ops {
 		t.Errorf("committed = %d, want %d", s.Committed, ops)
+	}
+}
+
+// TestRunContextCancelInsideStall: a cancel that lands while OoO waits
+// out pointer-chase cache misses — cycles the event horizon fast-forwards
+// — still stops the run at the next poll, within one poll interval,
+// instead of skipping past it to the next completion.
+func TestRunContextCancelInsideStall(t *testing.T) {
+	m := config.MustMachine(config.ArchOoO, 8, config.Options{})
+	tr := hotLoopTrace(t, "pointer-chase", 4_000)
+	p, err := pipeline.New(m.Pipeline, tr, m.Factory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var cancelledAt uint64
+	p.OnCommit = func(*sched.UOp) {
+		if p.Stats().Committed == 1_000 {
+			cancelledAt = p.Cycle()
+			cancel()
+		}
+	}
+	s, err := p.RunContext(ctx, uint64(len(tr)))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if cancelledAt == 0 || s.Committed >= uint64(len(tr)) {
+		t.Fatalf("cancelled at cycle %d with %d commits, want a mid-run cancel", cancelledAt, s.Committed)
+	}
+	if p.SkippedCycles() == 0 {
+		t.Error("no cycle skipped before the cancel; the stall path was not exercised")
+	}
+	stop := p.Cycle()
+	if stop <= cancelledAt || stop-cancelledAt > pipeline.CancelPollInterval || stop%pipeline.CancelPollInterval != 0 {
+		t.Errorf("cancelled at cycle %d but stopped at cycle %d, want the next %d-cycle poll", cancelledAt, stop, pipeline.CancelPollInterval)
 	}
 }

@@ -33,38 +33,65 @@ func hotLoopTrace(t testing.TB, wl string, ops int) []isa.DynInst {
 	return prog.MustExecute(w.Program, ops).Ops
 }
 
+// steadyCases are the zero-allocation workloads. The mixed kernel
+// exercises loads, stores, branches, violations and flush recovery —
+// every recycling path; pointer-chase stalls on nearly every cycle, so
+// its slices run mostly through the event-horizon skip path.
+var steadyCases = []struct {
+	wl                 string
+	total, warm, slice uint64
+}{
+	{"mixed", 400_000, 50_000, 5_000},
+	{"pointer-chase", 40_000, 10_000, 1_000},
+}
+
+// steadyAllocs warms pl past the steady-state water mark (arenas grown to
+// the workload's peak, ring buffers and scratch structs at full size) and
+// returns the average allocations of a further commit slice. A slice of
+// a skippy workload must actually skip.
+func steadyAllocs(t *testing.T, pl *pipeline.Pipeline, wl string, warm, slice uint64) float64 {
+	t.Helper()
+	if _, err := pl.Run(warm); err != nil {
+		t.Fatal(err)
+	}
+	target := pl.Stats().Committed
+	skipped := pl.SkippedCycles()
+	avg := testing.AllocsPerRun(10, func() {
+		target += slice
+		if _, err := pl.Run(target); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if wl == "pointer-chase" && pl.SkippedCycles() == skipped {
+		t.Errorf("%s: no cycle skipped while measuring", wl)
+	}
+	return avg
+}
+
 // TestSteadyStateAllocs proves the zero-allocation contract of the cycle
-// engine: once the pipeline is warmed (arenas grown to the workload's peak,
-// ring buffers and scratch structs at full size), simulating additional
-// μops must not allocate at all. The mixed kernel exercises loads, stores,
-// branches, violations and flush recovery — every recycling path.
+// engine: once the pipeline is warmed, simulating additional μops must not
+// allocate at all.
 func TestSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("steady-state warmup is not worth it in -short")
 	}
-	const totalOps = 400_000
-	tr := hotLoopTrace(t, "mixed", totalOps)
+	traces := make([][]isa.DynInst, len(steadyCases))
+	for i, c := range steadyCases {
+		traces[i] = hotLoopTrace(t, c.wl, int(c.total))
+	}
 	for _, arch := range hotLoopArchs {
 		t.Run(string(arch), func(t *testing.T) {
-			m := config.MustMachine(arch, 8, config.Options{})
-			pl, err := pipeline.New(m.Pipeline, tr, m.Factory)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Warm every pool and table well past the steady-state water
-			// mark before measuring.
-			if _, err := pl.Run(50_000); err != nil {
-				t.Fatal(err)
-			}
-			target := pl.Stats().Committed
-			avg := testing.AllocsPerRun(10, func() {
-				target += 5_000
-				if _, err := pl.Run(target); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if avg != 0 {
-				t.Errorf("%s: %.1f allocs per 5k-commit slice in steady state, want 0", arch, avg)
+			for i, c := range steadyCases {
+				t.Run(c.wl, func(t *testing.T) {
+					m := config.MustMachine(arch, 8, config.Options{})
+					pl, err := pipeline.New(m.Pipeline, traces[i], m.Factory)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if avg := steadyAllocs(t, pl, c.wl, c.warm, c.slice); avg != 0 {
+						t.Errorf("%s: %.1f allocs per %d-commit slice in steady state, want 0", arch, avg, c.slice)
+					}
+				})
 			}
 		})
 	}

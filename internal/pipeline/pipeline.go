@@ -12,6 +12,7 @@ package pipeline
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/bpred"
 	"repro/internal/check"
@@ -239,6 +240,11 @@ const wheelFarSpan = 1 << 13
 type completionWheel struct {
 	heads, tails []*sched.UOp
 
+	// occ marks the non-empty buckets — bucket i is bit 63-(i&63) of word
+	// i>>6, the container.QuantumQueue convention — so the event horizon
+	// finds the next due bucket with a CLZ walk.
+	occ [wheelSpan / 64]uint64
+
 	far     *container.QuantumQueue[*sched.UOp]
 	farBase uint64
 
@@ -263,10 +269,46 @@ func (w *completionWheel) pushNear(u *sched.UOp, done uint64) {
 	i := done & (wheelSpan - 1)
 	if w.tails[i] == nil {
 		w.heads[i] = u
+		w.occ[i>>6] |= 1 << 63 >> (i & 63)
 	} else {
 		w.tails[i].WheelNext = u
 	}
 	w.tails[i] = u
+}
+
+// take unlinks and returns the chain of events due at cycle (nil if none).
+func (w *completionWheel) take(cycle uint64) *sched.UOp {
+	i := cycle & (wheelSpan - 1)
+	u := w.heads[i]
+	if u != nil {
+		w.heads[i], w.tails[i] = nil, nil
+		w.occ[i>>6] &^= 1 << 63 >> (i & 63)
+	}
+	return u
+}
+
+// next returns the earliest cycle ≥ now with a near event due, or
+// now+wheelSpan when no near event is pending. Every pending near event
+// is due within [now, now+wheelSpan), so a bucket's distance from now's
+// bucket is its due cycle's distance from now.
+func (w *completionWheel) next(now uint64) uint64 {
+	s := int(now & (wheelSpan - 1))
+	from := ^uint64(0) >> (s & 63) // buckets ≥ s within s's word
+	for k := 0; k <= len(w.occ); k++ {
+		j := (s>>6 + k) % len(w.occ)
+		m := w.occ[j]
+		switch k {
+		case 0:
+			m &= from
+		case len(w.occ):
+			m &^= from // wrapped round to s's word: buckets before s
+		}
+		if m != 0 {
+			b := j<<6 + bits.LeadingZeros64(m)
+			return now + uint64((b-s)&(wheelSpan-1))
+		}
+	}
+	return now + wheelSpan
 }
 
 // push schedules u's completion event at cycle done (done > now, because
@@ -422,6 +464,18 @@ type Pipeline struct {
 	// closures (AttachTopdown swaps them), so a disabled engine is free.
 	td *topdown.Engine
 
+	// stallCause is this cycle's dispatch stall (StallNone if none), which
+	// the event horizon charges again for every skipped cycle.
+	stallCause topdown.StallCause
+	// steady is the event horizon computed after the last cycle when that
+	// cycle was idle and not skipped (0 otherwise): an idle cycle before
+	// it repeats its predecessor's pattern, so the two form a period.
+	steady uint64
+	// skipped counts the measured region's cycles fast-forwarded by the
+	// event horizon; noSkip turns the fast-forward off (tests only).
+	skipped uint64
+	noSkip  bool
+
 	stats stats.Sim
 
 	// OnCommit, when non-nil, observes every committed μop in commit
@@ -504,6 +558,10 @@ func (p *Pipeline) Predictor() *bpred.Predictor { return p.pred }
 
 // Cycle returns the current simulation cycle.
 func (p *Pipeline) Cycle() uint64 { return p.cycle }
+
+// SkippedCycles returns how many cycles of the measured region the event
+// horizon fast-forwarded instead of simulating one by one.
+func (p *Pipeline) SkippedCycles() uint64 { return p.skipped }
 
 // --- check.Source introspection surface ---
 
@@ -706,6 +764,7 @@ func (p *Pipeline) WarmupContext(ctx context.Context, warmupCommits uint64) erro
 	}
 	committedBase := p.stats.Committed
 	p.stats = stats.Sim{}
+	p.skipped = 0
 	p.warmupCycles = p.cycle
 	p.warmupCommits = committedBase
 	return nil
@@ -735,6 +794,9 @@ const cancelCheckMask = 1<<10 - 1
 // resumed.
 func (p *Pipeline) RunContext(ctx context.Context, maxCommits uint64) (*stats.Sim, error) {
 	done := ctx.Done()
+	// A skip period spans cycles of this run only: a top-down engine may
+	// have been attached since the last one.
+	p.steady = 0
 	for p.stats.Committed < maxCommits {
 		if p.drained() {
 			break
@@ -747,9 +809,14 @@ func (p *Pipeline) RunContext(ctx context.Context, maxCommits uint64) (*stats.Si
 			default:
 			}
 		}
-		p.step()
+		idle := p.step()
 		if p.auditErr != nil {
 			return &p.stats, p.auditErr
+		}
+		if idle && !p.noSkip && p.inj == nil && p.obs == nil {
+			p.skipIdle(done != nil)
+		} else {
+			p.steady = 0
 		}
 		if p.cfg.MaxCycles > 0 && p.cycle > p.cfg.MaxCycles {
 			return &p.stats, &check.DeadlockError{
@@ -774,14 +841,19 @@ func (p *Pipeline) drained() bool {
 	return p.fetchIdx >= len(p.trace) && p.rob.n == 0 && p.decodeQ.n == 0
 }
 
-// step advances one cycle, stages in reverse pipeline order.
-func (p *Pipeline) step() {
+// step advances one cycle, stages in reverse pipeline order, and reports
+// whether the cycle was idle: nothing committed, completed, issued,
+// dispatched or fetched.
+func (p *Pipeline) step() (idle bool) {
+	committed, fetched, issued, robN := p.totCommitted, p.totFetched, p.stats.Issued, p.rob.n
 	p.commit()
-	p.processCompletions()
+	completed := p.processCompletions()
 	p.injectFlush()
 	p.issue()
 	p.dispatch()
 	p.fetch()
+	idle = !completed && p.totCommitted == committed && p.totFetched == fetched &&
+		p.stats.Issued == issued && p.rob.n == robN
 	p.stats.OccupancySum += uint64(p.sched.Occupancy())
 	if p.td != nil {
 		p.td.EndCycle(p.sched.Occupancy(),
@@ -798,6 +870,78 @@ func (p *Pipeline) step() {
 		}
 	}
 	p.cycle++
+	return idle
+}
+
+// skipIdle fast-forwards from an idle cycle to the event horizon (see
+// horizon): every cycle up to it would repeat the idle pattern exactly,
+// so its per-cycle charges are applied once per skipped cycle in O(1) —
+// scheduler occupancy, the dispatch stall, top-down blame and, through
+// SkipIdle, the scheduler's own idle select. The pattern is the last
+// cycle, or the last two when the one before was idle inside the same
+// horizon (a Ballerino shared P-IQ alternates its examined head on idle
+// cycles). The scheduler may decline, and then the next cycle is
+// simulated normally. polled reports a cancellable run, whose context
+// polls must not be skipped.
+func (p *Pipeline) skipIdle(polled bool) {
+	now := p.cycle
+	period := 1
+	if p.steady > now-1 {
+		period = 2
+	}
+	d := p.horizon(polled)
+	if d <= now || !p.sched.SkipIdle(now, d-now, period) {
+		p.steady = d
+		return
+	}
+	p.steady = 0
+	n := d - now
+	p.stats.OccupancySum += n * uint64(p.sched.Occupancy())
+	if p.stallCause != topdown.StallNone {
+		p.countStall(p.stallCause, n)
+		if p.stallCause == topdown.StallRename {
+			p.rn.RepeatFreeStalls(n)
+		}
+	}
+	p.td.Repeat(n, period)
+	p.skipped += n
+	p.cycle = d
+}
+
+// horizon returns the event horizon after an idle cycle: the first cycle
+// ≥ p.cycle that may behave differently. Until then nothing the machine
+// reads changes — operand readiness and memory-dependence waits change
+// only at completion events and grants — so the horizon is the earliest
+// of the next completion event, the next far-queue rotation, the end of
+// a fetch stall, the decode head becoming visible, the next cancellation
+// poll, and the cycle at which the MaxCycles budget or the StallCycles
+// watchdog trips (landing exactly there keeps their errors and autopsies
+// unchanged). A busy non-pipelined unit needs no deadline of its own: it
+// frees on the cycle its μop's completion event fires.
+func (p *Pipeline) horizon(polled bool) uint64 {
+	now := p.cycle
+	d := p.wheel.next(now)
+	if !p.wheel.far.Empty() || p.wheel.ovCount > 0 {
+		d = min(d, (now+wheelSpan-1)&^(wheelSpan-1))
+	}
+	if p.fetchStallUntil >= now {
+		d = min(d, p.fetchStallUntil)
+	}
+	if p.decodeQ.n > 0 {
+		if v := p.decodeQ.at(0).visibleAt; v >= now {
+			d = min(d, v)
+		}
+	}
+	if polled {
+		d = min(d, (now+cancelCheckMask)&^cancelCheckMask)
+	}
+	if p.cfg.MaxCycles > 0 {
+		d = min(d, p.cfg.MaxCycles+1)
+	}
+	if p.cfg.StallCycles > 0 {
+		d = min(d, p.lastCommitCycle+p.cfg.StallCycles+1)
+	}
+	return d
 }
 
 // injectFlush performs a fault-injected mid-ROB flush. The bound is an
@@ -866,16 +1010,16 @@ func (p *Pipeline) recycle(u *sched.UOp) {
 
 // --- Execute / writeback events ---
 
-func (p *Pipeline) processCompletions() {
+// processCompletions fires this cycle's completion events and reports
+// whether there were any.
+func (p *Pipeline) processCompletions() bool {
 	if p.cycle&(wheelSpan-1) == 0 && (!p.wheel.far.Empty() || p.wheel.ovCount > 0) {
 		p.wheel.rotate(p.cycle)
 	}
-	slot := p.cycle & (wheelSpan - 1)
-	u := p.wheel.heads[slot]
+	u := p.wheel.take(p.cycle)
 	if u == nil {
-		return
+		return false
 	}
-	p.wheel.heads[slot], p.wheel.tails[slot] = nil, nil
 	for u != nil {
 		next := u.WheelNext
 		u.WheelNext = nil
@@ -912,6 +1056,7 @@ func (p *Pipeline) processCompletions() {
 		}
 		u = next
 	}
+	return true
 }
 
 // checkViolation flushes from the oldest younger load that read the same
@@ -1117,6 +1262,7 @@ func (p *Pipeline) executeLoad(u *sched.UOp) uint64 {
 // --- Rename / dispatch ---
 
 func (p *Pipeline) dispatch() {
+	p.stallCause = topdown.StallNone
 	if p.inj != nil && p.decodeQ.n > 0 && p.inj.StallDispatch(p.cycle) {
 		p.dispatchStall(p.decodeQ.at(0).u, topdown.StallInjected)
 		return
@@ -1163,23 +1309,30 @@ func (p *Pipeline) dispatch() {
 // head μop could not move through rename/dispatch, splitting the legacy
 // conflated counter by cause.
 func (p *Pipeline) dispatchStall(u *sched.UOp, cause topdown.StallCause) {
-	p.stats.DispatchStall++
-	switch cause {
-	case topdown.StallROB:
-		p.stats.StallROBFull++
-	case topdown.StallLSQ:
-		p.stats.StallLSQFull++
-	case topdown.StallRename:
-		p.stats.StallRename++
-	case topdown.StallIQ:
-		p.stats.StallIQFull++
-	case topdown.StallInjected:
-		p.stats.StallInjected++
-	}
+	p.stallCause = cause
+	p.countStall(cause, 1)
 	p.td.NoteDispatchStall(cause)
 	if p.obs != nil {
 		p.obs.Emit(obs.Event{Kind: obs.KindStall, Cycle: p.cycle, Seq: u.Seq(),
 			PC: uint64(u.D.PC), Op: u.D.Op})
+	}
+}
+
+// countStall charges n cycles of a dispatch stall to the conflated and
+// typed stall counters.
+func (p *Pipeline) countStall(cause topdown.StallCause, n uint64) {
+	p.stats.DispatchStall += n
+	switch cause {
+	case topdown.StallROB:
+		p.stats.StallROBFull += n
+	case topdown.StallLSQ:
+		p.stats.StallLSQFull += n
+	case topdown.StallRename:
+		p.stats.StallRename += n
+	case topdown.StallIQ:
+		p.stats.StallIQFull += n
+	case topdown.StallInjected:
+		p.stats.StallInjected += n
 	}
 }
 

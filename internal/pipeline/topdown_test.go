@@ -142,26 +142,17 @@ func TestTopdownSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("steady-state warmup is not worth it in -short")
 	}
-	const totalOps = 400_000
-	tr := hotLoopTrace(t, "mixed", totalOps)
-	m := config.MustMachine(config.ArchBallerino, 8, config.Options{})
-	pl, err := pipeline.New(m.Pipeline, tr, m.Factory)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl.AttachTopdown(topdown.New(8))
-	if _, err := pl.Run(50_000); err != nil {
-		t.Fatal(err)
-	}
-	target := pl.Stats().Committed
-	avg := testing.AllocsPerRun(10, func() {
-		target += 5_000
-		if _, err := pl.Run(target); err != nil {
+	for _, c := range steadyCases {
+		tr := hotLoopTrace(t, c.wl, int(c.total))
+		m := config.MustMachine(config.ArchBallerino, 8, config.Options{})
+		pl, err := pipeline.New(m.Pipeline, tr, m.Factory)
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if avg != 0 {
-		t.Errorf("%.1f allocs per 5k-commit slice with topdown attached, want 0", avg)
+		pl.AttachTopdown(topdown.New(8))
+		if avg := steadyAllocs(t, pl, c.wl, c.warm, c.slice); avg != 0 {
+			t.Errorf("%s: %.1f allocs per %d-commit slice with topdown attached, want 0", c.wl, avg, c.slice)
+		}
 	}
 }
 

@@ -319,5 +319,10 @@ func (r *Renamer) ReserveProducer(p PhysReg) {
 	}
 }
 
+// RepeatFreeStalls counts n more refused renames on an empty free list —
+// the failed Renames of n identical stalled cycles, which change nothing
+// else.
+func (r *Renamer) RepeatFreeStalls(n uint64) { r.stallsFree += n }
+
 // Stats returns (renames performed, dispatch stalls due to empty free list).
 func (r *Renamer) Stats() (uint64, uint64) { return r.renames, r.stallsFree }

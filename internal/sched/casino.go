@@ -22,6 +22,10 @@ type CASINO struct {
 	ports  PortMask
 	issued uint64
 	passed uint64
+
+	// passedAt is one past the last cycle that passed a μop between
+	// queues: the windows then hold μops no Issue has examined yet.
+	passedAt uint64
 }
 
 // NewCASINO builds the cascade. sizes lists every queue's capacity in
@@ -79,15 +83,14 @@ func (s *CASINO) Issue(cycle uint64, ctx *IssueCtx) {
 
 	// Final in-order IQ: strict program-order issue from the head.
 	last := &s.queues[len(s.queues)-1]
-	s.events.SelectInputs += uint64(s.width * s.window * len(s.queues))
+	s.chargeSelect(1)
 	examined := 0
 	last.SelectOldest(func(u *UOp) container.Verdict {
 		if examined >= s.window || granted >= s.width {
 			return container.Stop
 		}
 		examined++
-		s.events.QueueReads++
-		s.events.PSCBReads += 2
+		s.chargeRead(1)
 		if portUsed.Used(u.Port) {
 			if ctx.PortBlocked != nil {
 				ctx.PortBlocked(u)
@@ -121,8 +124,7 @@ func (s *CASINO) Issue(cycle uint64, ctx *IssueCtx) {
 		}
 		passedHere := 0
 		q.SelectWindow(examine, func(u *UOp) container.Verdict {
-			s.events.QueueReads++
-			s.events.PSCBReads += 2
+			s.chargeRead(1)
 			issue := false
 			if granted >= s.width {
 				// all issue ports consumed; fall through to pass
@@ -146,12 +148,48 @@ func (s *CASINO) Issue(cycle uint64, ctx *IssueCtx) {
 				s.events.QueueReads++
 				s.events.QueueWrites++ // the copy the paper charges CASINO for
 				s.passed++
+				s.passedAt = cycle + 1
 				passedHere++
 				return container.Take
 			}
 			return container.Keep
 		})
 	}
+}
+
+// SkipIdle implements Scheduler: each queue re-reads its window every
+// cycle. A pass in the last period cycles moved μops into windows not
+// examined in all of them, so it declines the span.
+func (s *CASINO) SkipIdle(now, n uint64, period int) bool {
+	if s.passedAt > now-uint64(period) {
+		return false
+	}
+	s.chargeSelect(n)
+	examined := 0
+	if !s.queues[len(s.queues)-1].Empty() {
+		examined++ // the in-order IQ stops at its head
+	}
+	for qi := range s.queues[:len(s.queues)-1] {
+		examined += min(s.window, s.queues[qi].Len())
+	}
+	s.chargeRead(n * uint64(examined))
+	return true
+}
+
+// The per-cycle charges below are shared by Issue (k = 1) and SkipIdle
+// (k = n skipped cycles), so each rule has one copy.
+
+// chargeSelect charges k cycles of select inputs: every window slot of
+// every queue on every issue port.
+func (s *CASINO) chargeSelect(k uint64) {
+	s.events.SelectInputs += k * uint64(s.width*s.window*len(s.queues))
+}
+
+// chargeRead charges k reads of a window entry and its two P-SCB source
+// entries.
+func (s *CASINO) chargeRead(k uint64) {
+	s.events.QueueReads += k
+	s.events.PSCBReads += 2 * k
 }
 
 // Complete implements Scheduler. Readiness is re-examined at queue heads.

@@ -43,6 +43,11 @@ type CES struct {
 	headStallM   uint64 // head is a load/store blocked by a predicted M-dep
 	headStallDep uint64 // head waits for register data
 	headEmpty    uint64 // queue empty
+
+	// refusedAt is one past the cycle of the last refused Dispatch, and
+	// refusedReady that μop's readiness then: SkipIdle repeats the refusal.
+	refusedAt    uint64
+	refusedReady bool
 }
 
 // NewCES builds a CES scheduler with n P-IQs of the given depth. rn is the
@@ -96,8 +101,7 @@ func (s *CES) SetProbe(p Probe) { s.probe = p }
 // Dispatch implements Scheduler: steer along M/R-dependences, allocating a
 // new P-IQ for dependence heads, stalling when no queue is available.
 func (s *CES) Dispatch(u *UOp, cycle uint64) bool {
-	s.events.SteerOps++
-	s.events.PSCBReads += 2
+	s.chargeSteer(1)
 	ready := readyAtDispatch(s.rn, u, cycle)
 	mdaCandidate := s.mda && u.D.Op.IsMem() && u.SSID >= 0
 
@@ -135,11 +139,8 @@ func (s *CES) Dispatch(u *UOp, cycle uint64) bool {
 			return true
 		}
 	}
-	if ready {
-		s.stallReady++
-	} else {
-		s.stallNonReady++
-	}
+	s.countRefusal(ready, 1)
+	s.refusedAt, s.refusedReady = cycle+1, ready
 	return false
 }
 
@@ -179,7 +180,7 @@ func (s *CES) enqueue(iq int, u *UOp) {
 // Issue implements Scheduler: only dependence heads (queue heads) are
 // examined; per-port prefix-sum circuits grant one each.
 func (s *CES) Issue(cycle uint64, ctx *IssueCtx) {
-	s.events.SelectInputs += uint64(s.width * len(s.iqs))
+	s.chargeSelect(1)
 	s.ports.Reset()
 	portUsed := &s.ports
 	for i := range s.iqs {
@@ -189,8 +190,7 @@ func (s *CES) Issue(cycle uint64, ctx *IssueCtx) {
 			continue
 		}
 		u := q.Head()
-		s.events.QueueReads++
-		s.events.PSCBReads += 2
+		s.chargeHeadRead(1)
 		if portUsed.Used(u.Port) {
 			if ctx.PortBlocked != nil {
 				ctx.PortBlocked(u)
@@ -199,11 +199,7 @@ func (s *CES) Issue(cycle uint64, ctx *IssueCtx) {
 			continue
 		}
 		if !ctx.Ready(u) {
-			if u.MDPWait != mdp.NoStore {
-				s.headStallM++
-			} else {
-				s.headStallDep++
-			}
+			s.countHeadStall(u, 1)
 			continue
 		}
 		ctx.Grant(u)
@@ -212,6 +208,67 @@ func (s *CES) Issue(cycle uint64, ctx *IssueCtx) {
 		q.PopFront()
 		s.issued++
 		s.headIssue++
+	}
+}
+
+// SkipIdle implements Scheduler: every P-IQ head is re-read and stalls
+// each cycle, and a refused dispatch is re-steered and refused again.
+func (s *CES) SkipIdle(now, n uint64, _ int) bool {
+	s.chargeSelect(n)
+	for i := range s.iqs {
+		q := &s.iqs[i]
+		if q.Empty() {
+			s.headEmpty += n
+			continue
+		}
+		s.chargeHeadRead(n)
+		s.countHeadStall(q.Head(), n)
+	}
+	if s.refusedAt == now {
+		s.chargeSteer(n)
+		s.countRefusal(s.refusedReady, n)
+	}
+	return true
+}
+
+// The per-cycle charges below are shared by Dispatch and Issue (k = 1)
+// and SkipIdle (k = n skipped cycles), so each rule has one copy.
+
+// chargeSelect charges k cycles of select inputs: every P-IQ head on
+// every issue port.
+func (s *CES) chargeSelect(k uint64) { s.events.SelectInputs += k * uint64(s.width*len(s.iqs)) }
+
+// chargeHeadRead charges k reads of a P-IQ head and its two P-SCB source
+// entries.
+func (s *CES) chargeHeadRead(k uint64) {
+	s.events.QueueReads += k
+	s.events.PSCBReads += 2 * k
+}
+
+// countHeadStall counts k cycles in which head u was refused issue for
+// not being ready: behind a predicted M-dependence, or register data.
+func (s *CES) countHeadStall(u *UOp, k uint64) {
+	if u.MDPWait != mdp.NoStore {
+		s.headStallM += k
+	} else {
+		s.headStallDep += k
+	}
+}
+
+// chargeSteer charges k steering attempts: the steer and the two P-SCB
+// reads that locate the μop's producers.
+func (s *CES) chargeSteer(k uint64) {
+	s.events.SteerOps += k
+	s.events.PSCBReads += 2 * k
+}
+
+// countRefusal counts k dispatches refused for want of a P-IQ, by the
+// μop's readiness.
+func (s *CES) countRefusal(ready bool, k uint64) {
+	if ready {
+		s.stallReady += k
+	} else {
+		s.stallNonReady += k
 	}
 }
 

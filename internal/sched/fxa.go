@@ -23,6 +23,11 @@ type FXA struct {
 	events   EnergyEvents
 	ixuExecs uint64
 	beExecs  uint64
+
+	// refusedAt is one past the cycle of the last refused Dispatch, and
+	// refusedIXU the first cycle at which the IXU would capture that μop
+	// instead (rename.NeverReady if it never would).
+	refusedAt, refusedIXU uint64
 }
 
 type ixuOp struct {
@@ -60,6 +65,7 @@ func (s *FXA) Occupancy() int { return s.backend.Occupancy() + len(s.ixu) }
 // by the time it reaches the IXU's execution stage is captured by the IXU;
 // anything else goes to the back-end IQ.
 func (s *FXA) Dispatch(u *UOp, cycle uint64) bool {
+	ixuFrom := rename.NeverReady
 	if ixuEligible(u.D.Op) {
 		ready := s.rn.ReadyAt(u.Src[0])
 		if r2 := s.rn.ReadyAt(u.Src[1]); r2 > ready {
@@ -78,8 +84,12 @@ func (s *FXA) Dispatch(u *UOp, cycle uint64) bool {
 			s.ixuExecs++
 			return true
 		}
+		if ready != rename.NeverReady {
+			ixuFrom = ready - s.ixuDepth
+		}
 	}
 	if !s.backend.Dispatch(u, cycle) {
+		s.refusedAt, s.refusedIXU = cycle+1, ixuFrom
 		return false
 	}
 	s.beExecs++
@@ -100,6 +110,23 @@ func (s *FXA) Issue(cycle uint64, ctx *IssueCtx) {
 	}
 	s.ixu = keep
 	s.backend.Issue(cycle, ctx)
+}
+
+// SkipIdle implements Scheduler. An IXU μop is examined from the cycle
+// its execution stage is reached: one reaching it inside the span or the
+// last period cycles was not examined in all of them, and a μop refused
+// at now-1 that the IXU would capture inside the span would dispatch, so
+// either declines the span.
+func (s *FXA) SkipIdle(now, n uint64, period int) bool {
+	for _, op := range s.ixu {
+		if op.at > now-uint64(period) && op.at < now+n {
+			return false
+		}
+	}
+	if s.refusedAt == now && s.refusedIXU < now+n {
+		return false
+	}
+	return s.backend.SkipIdle(now, n, period)
 }
 
 // Complete implements Scheduler.

@@ -54,8 +54,7 @@ func (s *InO) Issue(cycle uint64, ctx *IssueCtx) {
 		if granted >= s.width {
 			return container.Stop
 		}
-		s.events.QueueReads++
-		s.events.PSCBReads += 2
+		s.chargeHeadRead(1)
 		if !ctx.Ready(u) {
 			s.stalls++
 			return container.Stop
@@ -74,6 +73,23 @@ func (s *InO) Issue(cycle uint64, ctx *IssueCtx) {
 		granted++
 		return container.Take
 	})
+}
+
+// SkipIdle implements Scheduler: a blocked head is re-read and counted as
+// a head stall every cycle.
+func (s *InO) SkipIdle(_, n uint64, _ int) bool {
+	if !s.entries.Empty() {
+		s.chargeHeadRead(n)
+		s.stalls += n
+	}
+	return true
+}
+
+// chargeHeadRead charges k reads of a queue entry and its two P-SCB
+// source entries, shared by Issue (k = 1) and SkipIdle (k = n).
+func (s *InO) chargeHeadRead(k uint64) {
+	s.events.QueueReads += k
+	s.events.PSCBReads += 2 * k
 }
 
 // Complete implements Scheduler. The scoreboard core re-reads readiness at

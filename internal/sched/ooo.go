@@ -130,9 +130,7 @@ func (s *OoO) Issue(cycle uint64, ctx *IssueCtx) {
 	if occ == 0 {
 		return
 	}
-	// Each port's prefix-sum circuit evaluates all N inputs every cycle
-	// the queue is active.
-	s.events.SelectInputs += uint64(s.width * len(s.slots))
+	s.chargeSelect(1)
 
 	s.ports.Reset()
 	portUsed := &s.ports
@@ -198,6 +196,20 @@ func (s *OoO) Issue(cycle uint64, ctx *IssueCtx) {
 		}
 	}
 }
+
+// SkipIdle implements Scheduler: an occupied queue evaluates every select
+// input each cycle; the age-order walk of an idle cycle changes nothing.
+func (s *OoO) SkipIdle(_, n uint64, _ int) bool {
+	if s.Occupancy() > 0 {
+		s.chargeSelect(n)
+	}
+	return true
+}
+
+// chargeSelect charges k active cycles of select inputs, shared by Issue
+// (k = 1) and SkipIdle (k = n): each port's prefix-sum circuit evaluates
+// all N inputs every cycle the queue is active.
+func (s *OoO) chargeSelect(k uint64) { s.events.SelectInputs += k * uint64(s.width*len(s.slots)) }
 
 // Complete implements Scheduler: a destination-tag broadcast compares
 // against both source fields of every live entry.

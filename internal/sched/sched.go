@@ -49,10 +49,10 @@ type UOp struct {
 	SSID    int32
 	MDPWait uint64 // dynamic seq of the store to wait for; mdp.NoStore if none
 	// MDPBlockedSince is the first cycle this μop was refused issue due to
-	// its predicted memory dependence (0 = never refused). Clustered
-	// in-order schedulers can deadlock through cross-queue MDP waits; the
-	// pipeline breaks the cycle by letting the wait time out into a
-	// speculative issue, relying on violation replay for correctness.
+	// its predicted memory dependence (0 = never refused). It is a
+	// diagnostic timestamp only: the pipeline always honours the wait (no
+	// wait times out into a speculative issue), and only the deadlock
+	// autopsy and violation tracing read it.
 	MDPBlockedSince uint64
 
 	// ROB slot, owned by the pipeline.
@@ -164,6 +164,20 @@ type Scheduler interface {
 	// Counters exposes microarchitecture-specific event counts used by
 	// the figure harnesses (steering outcomes, issue sources, ...).
 	Counters() map[string]uint64
+	// SkipIdle fast-forwards the scheduler over the n cycles now, …,
+	// now+n-1 in O(1): it applies exactly what n Issue calls would do
+	// with nothing examined ready — the per-cycle select and queue-read
+	// energy, head-stall counters and per-cycle policy state — plus a
+	// repeat of the previous cycle's refused Dispatch, if there was one.
+	// The pipeline calls it only after period (1 or 2) consecutive cycles
+	// that granted and dispatched nothing, for a span in which no
+	// readiness input changes; the skipped cycles repeat those period
+	// cycles in turn. It returns false, changing nothing, when it cannot
+	// prove that: a μop moved between its queues in those cycles, a μop
+	// not examined in them would be examined in the span, or (period 1)
+	// its idle cycles alternate between two states. The pipeline then
+	// simulates the cycle normally.
+	SkipIdle(now, n uint64, period int) bool
 }
 
 // QueueSnapshot is a read-only view of one internal scheduler queue, used

@@ -143,6 +143,16 @@ type Engine struct {
 	depBlock  bool
 	fuBlock   bool
 	dispCause StallCause
+
+	// The charges of the last two closed cycles, replayed by Repeat;
+	// last[1] is the most recent.
+	last [2]cycleCharge
+}
+
+// cycleCharge is what EndCycle charged for one cycle.
+type cycleCharge struct {
+	base, over uint64
+	idle       Category // category of the width-base idle slots
 }
 
 // New returns an engine accounting width issue slots per cycle.
@@ -211,18 +221,51 @@ func (e *Engine) EndCycle(schedOcc int, recovering, dispatchQFull bool) {
 		return
 	}
 	e.cycles++
-	base := e.grants
+	base, over := e.grants, uint64(0)
 	if base > e.width {
-		e.overIssue += base - e.width
+		over = base - e.width
 		base = e.width
 	}
-	e.slots[Base] += base
-	if idle := e.width - base; idle > 0 {
-		e.slots[e.blame(schedOcc, recovering, dispatchQFull)] += idle
+	c := cycleCharge{base: base, over: over}
+	if base < e.width {
+		c.idle = e.blame(schedOcc, recovering, dispatchQFull)
 	}
+	e.charge(c, 1)
+	e.last[0], e.last[1] = e.last[1], c
 	e.grants = 0
 	e.memBlock, e.depBlock, e.fuBlock = false, false, false
 	e.dispCause = StallNone
+}
+
+// charge books n cycles' worth of c's slots (the cycle count is the
+// caller's).
+func (e *Engine) charge(c cycleCharge, n uint64) {
+	e.overIssue += n * c.over
+	e.slots[Base] += n * c.base
+	if c.base < e.width {
+		e.slots[c.idle] += n * (e.width - c.base)
+	}
+}
+
+// Repeat charges n more cycles that repeat the last period (1 or 2)
+// cycles EndCycle closed, in turn — the same base slots, over-issue and
+// idle-slot category as the cycle they repeat — in O(1). The pipeline
+// calls it when it fast-forwards over cycles it has proved to repeat the
+// last simulated ones, so conservation still holds.
+func (e *Engine) Repeat(n uint64, period int) {
+	if e == nil {
+		return
+	}
+	e.cycles += n
+	if period == 1 {
+		e.charge(e.last[1], n)
+		return
+	}
+	e.charge(e.last[0], (n+1)/2)
+	e.charge(e.last[1], n/2)
+	if n%2 == 1 {
+		e.last[0], e.last[1] = e.last[1], e.last[0]
+	}
 }
 
 // blame picks the cycle's idle-slot category.

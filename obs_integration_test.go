@@ -2,6 +2,7 @@ package ballerino_test
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/csv"
 	"encoding/json"
 	"os"
@@ -285,5 +286,40 @@ func TestManifestDefaultPath(t *testing.T) {
 	}
 	if _, err := os.Stat(tracePath + ".manifest.json"); err != nil {
 		t.Errorf("default manifest path: %v", err)
+	}
+}
+
+// TestManifestSkippedCycles: a memory-bound run reports the cycles the
+// event horizon fast-forwarded, the canonical form drops the field, and a
+// run with a recorder attached — which simulates every cycle — reports
+// none yet ends with identical statistics.
+func TestManifestSkippedCycles(t *testing.T) {
+	cfg := ballerino.Config{Arch: "OoO", Workload: "pointer-chase", MaxOps: 3_000}
+	res, err := ballerino.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := res.Manifest
+	if m.SkippedCycles == 0 || m.SkippedCycles >= m.Stats.Cycles {
+		t.Errorf("skipped %d of %d cycles, want a non-zero share", m.SkippedCycles, m.Stats.Cycles)
+	}
+	full, err := m.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	canon, err := m.CanonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(full, []byte(`"skipped_cycles"`)) || bytes.Contains(canon, []byte(`"skipped_cycles"`)) {
+		t.Errorf("skipped_cycles must be in the manifest and absent from its canonical form:\n%s\n%s", full, canon)
+	}
+
+	traced, _, _, _, _ := runTraced(t, cfg)
+	if traced.Manifest.SkippedCycles != 0 {
+		t.Errorf("recorded run skipped %d cycles, want 0", traced.Manifest.SkippedCycles)
+	}
+	if traced.Manifest.Stats != m.Stats {
+		t.Errorf("stats differ with skipping:\nskipped:  %+v\nrecorded: %+v", m.Stats, traced.Manifest.Stats)
 	}
 }
